@@ -525,6 +525,10 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    budgets = (("--max-n", args.max_n), ("--order", args.order), ("--fn-scan-max", args.fn_scan_max))
+    for flag, value in budgets:
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     report = run_verification(args.suite, args.max_n, args.order, args.fn_scan_max)
     if args.format == "json":
         payload = {

@@ -11,7 +11,7 @@ single class. For a permutation the sub-domains are exactly the orbits.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .permutations import DEFAULT_MAP_SCAN_BUDGET, check_budget
 
@@ -111,13 +111,6 @@ def _cycles_are_loops(word) -> bool:
     return True
 
 
-def enumerate_maps(n: int, *, max_n: int = DEFAULT_MAP_SCAN_BUDGET) -> Iterator[FunctionMap]:
-    """All n**n self-maps of {1..n}, in lexicographic image order."""
-    check_budget(n, max_n, "endofunction scan")
-    for image in itertools.product(range(1, n + 1), repeat=n):
-        yield trusted_map(image)
-
-
 def count_class_functions(
     n: int, kind: str, *, max_n: int = DEFAULT_MAP_SCAN_BUDGET
 ) -> int:
@@ -150,7 +143,6 @@ __all__ = [
     "canonical_factorization",
     "connected_count",
     "count_class_functions",
-    "enumerate_maps",
     "is_connected",
     "subdomains",
     "trusted_map",

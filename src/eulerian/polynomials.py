@@ -211,21 +211,26 @@ class Identity:
 # r >= n, and the size-0 polynomial is 1.
 
 
-@lru_cache(maxsize=None)
+_TRIANGLE_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def _triangle_row(n: int, r: int) -> tuple[int, ...]:
     # two-term coefficient recurrence
     #   a(n, k) = (k + r) a(n-1, k) + (n + 1 - k - r) a(n-1, k-1)
-    # started from the single value r! at n = r
-    if n == r:
-        return (factorial(n),)
-    prev = _triangle_row(n - 1, r)
-
-    def at(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    return tuple(
-        (k + r) * at(k) + (n + 1 - k - r) * at(k - 1) for k in range(n - r + 1)
-    )
+    # started from the single value r! at n = r; the missing rows are built
+    # upward from the largest one already cached, and every row is kept
+    m = n
+    while m > r and (m, r) not in _TRIANGLE_ROWS:
+        m -= 1
+    row = _TRIANGLE_ROWS.setdefault((m, r), (factorial(r),))
+    for size in range(m + 1, n + 1):
+        row = tuple(
+            (k + r) * (row[k] if k < len(row) else 0)
+            + (size + 1 - k - r) * (row[k - 1] if k else 0)
+            for k in range(size - r + 1)
+        )
+        _TRIANGLE_ROWS[size, r] = row
+    return row
 
 
 def eulerian_triangle_recurrence(n: int, r: int) -> Poly:
@@ -381,16 +386,23 @@ def eulerian_explicit(m: int, r: int) -> Poly:
 # Stirling numbers of the second kind
 
 
-@lru_cache(maxsize=None)
+_STIRLING_ROWS: dict[int, tuple[int, ...]] = {1: (1,)}
+
+
 def _stirling_row(p: int) -> tuple[int, ...]:
-    if p == 1:
-        return (1,)
-    prev = _stirling_row(p - 1)
-
-    def at(q: int) -> int:
-        return prev[q - 1] if 1 <= q <= p - 1 else 0
-
-    return tuple(at(q - 1) + q * at(q) for q in range(1, p + 1))
+    # S(p, q) = S(p-1, q-1) + q S(p-1, q), rows built upward from the largest
+    # one already cached, and every row is kept
+    m = p
+    while m not in _STIRLING_ROWS:
+        m -= 1
+    row = _STIRLING_ROWS[m]
+    for size in range(m + 1, p + 1):
+        row = tuple(
+            (row[q - 2] if q >= 2 else 0) + q * (row[q - 1] if q < size else 0)
+            for q in range(1, size + 1)
+        )
+        _STIRLING_ROWS[size] = row
+    return row
 
 
 def stirling2(p: int, q: int, mode: str = "recurrence", *, max_p: int = 8) -> int:

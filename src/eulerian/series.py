@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import permutations as perms
-from .endofunctions import canonical_factorization, count_class_functions, trusted_map
+from .endofunctions import count_class_functions, trusted_map
 from .permutations import DEFAULT_MAP_SCAN_BUDGET, DEFAULT_PERM_BUDGET, check_budget
 from .polynomials import (
     Identity,
@@ -508,6 +509,8 @@ def check_shifted_egf_powers(r: int, order: int) -> Identity:
 def check_bernoulli_ode(order: int) -> Identity:
     """The classical EGF A satisfies dA/du = A (1 + t(A - 1))."""
     a = series_from_polynomials(eulerian_polynomial, order)
+    if order == 0:
+        return Identity(True, a, a, "no coefficient of dA/du below order 1")
     lhs = a.derivative()
     rhs = (a * ((a - 1) * T + 1)).truncate(order - 1)
     return series_identity(lhs, rhs)
@@ -578,6 +581,117 @@ def fixed_point_split_weight(word: tuple) -> Poly:
     return Poly((T**exc,))
 
 
+# Cycles of at most this many points keep their weights and their one-point
+# extensions in the sweep's memo: 874 cycles. Keeping the next size too
+# would hold 5914, and every size of an order-10 sweep 46234, at a cost in
+# resident memory that the saved weight calls do not repay.
+_FACTOR_MEMO_MAX = 7
+
+
+def _factor_from_ranks(ranks: tuple[int, ...]):
+    """The connected factor whose one cycle visits the ranks in the given
+    order, as the image word of a map on {1..len(ranks)}."""
+    image = [0] * len(ranks)
+    prev = ranks[-1]
+    for rank in ranks:
+        image[prev - 1] = rank
+        prev = rank
+    return trusted_map(image)
+
+
+class _Factor:
+    """A cycle as the rank sequence of its points, read from rank 1, with its
+    weights. `grown` gives the cycles made by inserting the new largest rank
+    after each position, with their weights gathered per weight; it is kept
+    only while those cycles are small enough for the memo."""
+
+    __slots__ = ("ranks", "weights", "_grown")
+
+    def __init__(self, ranks: tuple[int, ...], fns: Sequence[Callable]):
+        self.ranks = ranks
+        factor = _factor_from_ranks(ranks)
+        self.weights = tuple([fn(factor) for fn in fns])
+        self._grown = None
+
+    def grown(self, fns: Sequence[Callable]) -> tuple[list["_Factor"], tuple[tuple, ...]]:
+        if self._grown is not None:
+            return self._grown
+        ranks = self.ranks
+        top = (len(ranks) + 1,)
+        children = [
+            _Factor(ranks[:j] + top + ranks[j:], fns) for j in range(1, len(ranks) + 1)
+        ]
+        out = (children, tuple(zip(*(child.weights for child in children))))
+        if len(ranks) < _FACTOR_MEMO_MAX:
+            self._grown = out
+        return out
+
+
+def weighted_permutation_sums(
+    fns: Sequence[Callable[[Sequence[int]], object]],
+    order: int,
+    *,
+    max_n: int = DEFAULT_PERM_BUDGET,
+) -> tuple[list[list], list[list]]:
+    """Plain and signed weight sums over S_n for every n <= order, one list
+    per weight: the weight of a permutation is the product of the weights of
+    its connected factors, each relabelled onto {1..card}, and the sign is
+    (-1)**(n - cycles).
+
+    One depth-first sweep visits every permutation once. A permutation of
+    [n] comes from one of [n-1] by making n a fixed point or by inserting n
+    after some point of one of its cycles. On the rank sequence of that
+    cycle n is the new largest rank and every other rank stays, so each step
+    changes one factor, whose weights come from a memo of rank sequences.
+    The value of a permutation is the product of its factors' weights.
+    """
+    check_budget(order, max_n, "permutation enumeration")
+    count = len(fns)
+    if order == 0:
+        return [[1] for _ in fns], [[1] for _ in fns]
+    loop = _Factor((1,), fns)
+    unit = (1,) * count
+    # by_parity[n][p][i]: weight i summed over the permutations of [n] with
+    # n - cycles = p mod 2
+    by_parity = [([0] * count, [0] * count) for _ in range(order + 1)]
+
+    def visit(n: int, factors: list) -> None:
+        # `factors` is a permutation of [n - 1]; add every permutation of [n]
+        # grown from it, then descend from each unless n is the order
+        k = len(factors)
+        before = [unit]
+        for f in factors:
+            before.append(tuple(map(mul, before[-1], f.weights)))
+        fixed = by_parity[n][(n - k - 1) % 2]
+        for i, value in enumerate(map(mul, before[k], loop.weights)):
+            fixed[i] += value
+        inserted = by_parity[n][(n - k) % 2]
+        leaf = n == order
+        after = unit
+        for c in range(k - 1, -1, -1):
+            others = tuple(map(mul, before[c], after))
+            children, columns = factors[c].grown(fns)
+            if leaf:
+                # each grown permutation's own product: the other factors'
+                # weights times the weight of its new factor
+                for i in range(count):
+                    repeated = itertools.repeat(others[i], len(children))
+                    inserted[i] += sum(map(mul, repeated, columns[i]))
+            else:
+                for child in children:
+                    for i, value in enumerate(map(mul, others, child.weights)):
+                        inserted[i] += value
+                    visit(n + 1, factors[:c] + [child] + factors[c + 1 :])
+            after = tuple(map(mul, after, factors[c].weights))
+        if not leaf:
+            visit(n + 1, factors + [loop])
+
+    visit(1, [])
+    plain = [[1] + [even[i] + odd[i] for even, odd in by_parity[1:]] for i in range(count)]
+    signed = [[1] + [even[i] - odd[i] for even, odd in by_parity[1:]] for i in range(count)]
+    return plain, signed
+
+
 def exponential_formula_bundle(
     weights: dict[str, Callable[[Sequence[int]], object]],
     order: int,
@@ -588,35 +702,17 @@ def exponential_formula_bundle(
     permutations equals exp of the weighted EGF over the connected (circular)
     ones, and its reciprocal is the signed weighted EGF with alternating u.
 
-    Left sides are computed by exhaustive enumeration through the canonical
-    factorization (shared across the weights, which is why they are bundled):
-    the weight of a permutation is the product of the weights of its
-    connected factors.
+    Left sides come from :func:`weighted_permutation_sums`, one sweep shared
+    by the weights (which is why they are bundled). Right sides weigh the
+    circular words directly and go through `exp` and `reciprocal`.
     """
-    check_budget(order, max_n, "permutation enumeration")
     names = list(weights)
     fns = [weights[name] for name in names]
-    plain = {name: [1] + [0] * order for name in names}
-    signed = {name: [1] + [0] * order for name in names}
+    plain_sums, signed_sums = weighted_permutation_sums(fns, order, max_n=max_n)
+    plain = dict(zip(names, plain_sums))
+    signed = dict(zip(names, signed_sums))
     conn = {name: [0] * (order + 1) for name in names}
     for n in range(1, order + 1):
-        p_acc = [0] * len(names)
-        s_acc = [0] * len(names)
-        for word in itertools.permutations(range(1, n + 1)):
-            factors = canonical_factorization(trusted_map(word))
-            eps_odd = (len(factors) + n) % 2
-            for i, fn in enumerate(fns):
-                val = 1
-                for g, _dom in factors:
-                    val = val * fn(g)
-                    if not val:
-                        break
-                if not val:
-                    continue
-                p_acc[i] = p_acc[i] + val
-                s_acc[i] = s_acc[i] - val if eps_odd else s_acc[i] + val
-        for i, name in enumerate(names):
-            plain[name][n], signed[name][n] = p_acc[i], s_acc[i]
         for w in _circular_words(n):
             for i, name in enumerate(names):
                 conn[name][n] = conn[name][n] + fns[i](w)
@@ -652,19 +748,12 @@ def check_cycle_weighted_power(
     r: int, order: int, *, max_n: int = DEFAULT_PERM_BUDGET
 ) -> Identity:
     """With the fixed-point-split weight boosted by r**cycles (integer r),
-    the weighted EGF is the r-th power of the mixed closed form."""
-    check_budget(order, max_n, "permutation enumeration")
-    coeffs: list = [Fraction(1)]
-    for n in range(1, order + 1):
-        acc: object = Poly()
-        for word in itertools.permutations(range(1, n + 1)):
-            factors = canonical_factorization(trusted_map(word))
-            val: object = r ** len(factors)
-            for g, _dom in factors:
-                val = val * fixed_point_split_weight(tuple(g))
-            acc = acc + val
-        coeffs.append(acc * Fraction(1, factorial(n)))
-    lhs = TruncSeries(order, coeffs)
+    the weighted EGF is the r-th power of the mixed closed form. The boost
+    is r on every factor: r**cycles * prod w(g) = prod r * w(g)."""
+    (sums,), _signed = weighted_permutation_sums(
+        [lambda g: r * fixed_point_split_weight(tuple(g))], order, max_n=max_n
+    )
+    lhs = TruncSeries(order, (c * Fraction(1, factorial(n)) for n, c in enumerate(sums)))
     rhs = mixed_egf_closed_form(order) ** r
     return series_identity(lhs, rhs)
 
@@ -730,7 +819,7 @@ def check_staircase_examples(order: int) -> list[tuple[str, Identity]]:
     out = []
     pers = [1] + [permanent(SquareMatrix.staircase_inverse(n), max_n=order) for n in range(1, order + 1)]
     dets = [1] + [determinant(SquareMatrix.staircase_inverse(n)) for n in range(1, order + 1)]
-    shape_ok = pers == [1, 1] + [0] * (order - 1) and dets == [factorial(n) for n in range(order + 1)]
+    shape_ok = pers == ([1, 1] + [0] * (order - 1))[: order + 1] and dets == [factorial(n) for n in range(order + 1)]
     out.append(("staircase-values", Identity(shape_ok, pers, dets)))
     per_egf = TruncSeries(order, (v * Fraction(1, factorial(n)) for n, v in enumerate(pers)))
     det_egf = TruncSeries(order, (v * Fraction((-1) ** n, factorial(n)) for n, v in enumerate(dets)))
@@ -828,5 +917,6 @@ __all__ = [
     "series_identity",
     "specialize_outer",
     "tangent_secant_series",
+    "weighted_permutation_sums",
     "zero_shift_egf_closed_form",
 ]

@@ -156,3 +156,15 @@ class TestVerify:
         assert main(["verify", "chapter5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL forced-failure" in out and "lhs=1" in out
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_series_suite_at_smallest_orders(self, capsys, order):
+        assert main(["verify", "series", "--order", str(order)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--order", "--fn-scan-max"])
+    def test_negative_budget_is_usage_error(self, capsys, flag):
+        assert main(["verify", "chapter2", flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: {flag} must be nonnegative, got -1"

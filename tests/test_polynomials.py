@@ -4,13 +4,18 @@ Stirling numbers, Worpitzky summations, and the joint polynomials.
 Expected values either come straight from the printed coefficient tables or
 are frozen from brute-force oracles written in this file.
 """
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerian import polynomials
 from eulerian.polynomials import (
     Identity,
     Poly,
@@ -401,3 +406,20 @@ class TestStructuralChecks:
             count_monotone_maps(3, 3, (7,))
         with pytest.raises(ValueError):
             roselle_polynomial(3, "nonsense")
+
+
+def test_row_caches_need_no_recursion():
+    # rows are built in a loop, so sizes far above the stack limit work; a
+    # fresh process starts with cold caches
+    code = """
+import sys
+from math import comb, factorial
+sys.setrecursionlimit(150)
+from eulerian.polynomials import eulerian_triangle_recurrence, stirling2
+assert sum(eulerian_triangle_recurrence(300, 1).coeffs) == factorial(300)
+explicit = sum((-1) ** j * comb(7, j) * (7 - j) ** 300 for j in range(8)) // factorial(7)
+assert stirling2(300, 7) == explicit
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(polynomials.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

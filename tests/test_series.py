@@ -1,6 +1,7 @@
 """Truncated series arithmetic, matrices, closed forms, and the series-level
 identity battery at unit-test scale (the acceptance module pushes the same
 checks to their full stated orders)."""
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerian.endofunctions import FunctionMap, canonical_factorization, is_connected, trusted_map
 from eulerian.polynomials import Poly, T, abar_polynomial, eulerian_polynomial
 from eulerian.series import (
     SquareMatrix,
@@ -42,6 +44,7 @@ from eulerian.series import (
     series_identity,
     specialize_outer,
     tangent_secant_series,
+    weighted_permutation_sums,
 )
 
 rationals = st.fractions(
@@ -193,10 +196,83 @@ class TestExponentialFormula:
 
     def test_cycle_weighted_powers(self):
         for r in (1, 2, 3):
-            assert check_cycle_weighted_power(r, 5).ok
+            assert check_cycle_weighted_power(r, 6).ok, r
 
     def test_tree_equation(self):
         assert check_tree_equation(6).ok
+
+
+def factorization_sums(fns, order):
+    """The slow reference for the insertion sweep: factorize every word of
+    S_n through the canonical factorization and multiply the weights of its
+    factors; the sign is (-1)**(n - cycles)."""
+    plain = [[1] + [0] * order for _ in fns]
+    signed = [[1] + [0] * order for _ in fns]
+    for n in range(1, order + 1):
+        for word in itertools.permutations(range(1, n + 1)):
+            factors = canonical_factorization(trusted_map(word))
+            odd = (len(factors) + n) % 2
+            for i, fn in enumerate(fns):
+                val = 1
+                for g, _dom in factors:
+                    val = val * fn(g)
+                plain[i][n] = plain[i][n] + val
+                signed[i][n] = signed[i][n] - val if odd else signed[i][n] + val
+    return plain, signed
+
+
+SWEEP_WEIGHTS = (
+    cycle_indicator_weight(list(range(1, 9))),
+    biexcedent_weight,
+    matrix_entry_weight(2, 1, 3),
+    lambda g: 1,
+)
+
+
+def truncated(sums, order):
+    return tuple([row[: order + 1] for row in rows] for rows in sums)
+
+
+class TestInsertionSweep:
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return factorization_sums(SWEEP_WEIGHTS, 8)
+
+    @pytest.fixture(scope="class")
+    def split_reference(self):
+        return factorization_sums((fixed_point_split_weight,), 7)
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_matches_factorization(self, reference, order):
+        assert weighted_permutation_sums(SWEEP_WEIGHTS, order) == truncated(reference, order)
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_matches_factorization_poly_weight(self, split_reference, order):
+        sums = weighted_permutation_sums((fixed_point_split_weight,), order)
+        assert sums == truncated(split_reference, order)
+
+    def test_weights_see_connected_factor_maps(self):
+        seen = []
+
+        def record(g):
+            seen.append(g)
+            return 1
+
+        weighted_permutation_sums((record,), 6)
+        assert all(type(g) is FunctionMap for g in seen)
+        # the weighed factors are exactly the connected words of size <= 6
+        assert {tuple(g) for g in seen} == {
+            w
+            for n in range(1, 7)
+            for w in itertools.permutations(range(1, n + 1))
+            if is_connected(w)
+        }
+
+    def test_budget(self):
+        from eulerian.permutations import BudgetError
+
+        with pytest.raises(BudgetError):
+            weighted_permutation_sums(SWEEP_WEIGHTS, 9, max_n=8)
 
 
 class TestMatrices:
