@@ -203,13 +203,14 @@ def _cross_method(n: int, r: int, max_n: int) -> Identity:
 
 def _series_checks(order: int, max_n: int, fn_scan_max: int) -> list[Check]:
     enum_order = min(order, max_n)
+    perm_top = min(5, max_n)
     out: list[Check] = [
         ("mixed-egf-exponential-form", f"order={enum_order}", lambda: ser.check_mixed_egf_exponential_form(enum_order, max_n=max_n)),
         ("bernoulli-ode", f"order={order}", lambda: ser.check_bernoulli_ode(order)),
         ("convolution-recurrence", f"n<={order}", lambda: ser.check_convolution_recurrence(order)),
         ("tree-equation", f"order={min(order, fn_scan_max)}", lambda: ser.check_tree_equation(min(order, fn_scan_max), max_scan=fn_scan_max)),
         ("secant-exp-integral-tangent", f"order={order}", lambda: ser.check_secant_is_exp_integral_tangent(order)),
-        ("mixed-permanent", "n<=5", lambda: ser.check_mixed_permanent(5, max_n=max_n)),
+        ("mixed-permanent", f"n<={perm_top}", lambda: ser.check_mixed_permanent(perm_top, max_n=max_n)),
     ]
     for label, check in ser.check_mixed_egf_closed_form(order, max_n=max_n):
         out.append((label, f"order={order}", lambda check=check: check))
@@ -274,15 +275,16 @@ def _chapter5_checks(max_n: int) -> list[Check]:
     out: list[Check] = []
     for n in range(3, top + 1):
         out.append(("word-derivation-step", f"n={n}", lambda n=n: words.check_derivation_step(n, max_n=max_n)))
-    out.append((
-        "c-triangle-modes",
-        f"n<={top}",
-        lambda: Identity(
-            words.c_triangle(top) == words.c_triangle(top, "abelianization", max_n=max_n),
-            words.c_triangle(top),
-            words.c_triangle(top, "abelianization", max_n=max_n),
-        ),
-    ))
+    if top >= 2:
+        out.append((
+            "c-triangle-modes",
+            f"n<={top}",
+            lambda: Identity(
+                words.c_triangle(top) == words.c_triangle(top, "abelianization", max_n=max_n),
+                words.c_triangle(top),
+                words.c_triangle(top, "abelianization", max_n=max_n),
+            ),
+        ))
     for n in range(2, max(top, 9) + 1):
         out.append(("valley-expansion", f"n={n}", lambda n=n: words.check_valley_expansion(n)))
     for p in range(1, min(max_n, 10) // 2 + 1):

@@ -369,6 +369,53 @@ _PREDICATES: dict[str, Callable] = {
 }
 
 
+def _alternating_window(n: int, k: int, prev: int, placed) -> tuple[int, int]:
+    # down-up: an even position lies below its left neighbour, an odd one
+    # from position 3 on lies above it
+    if k == 1:
+        return 1, n + 1
+    return (1, prev) if k % 2 == 0 else (prev + 1, n + 1)
+
+
+def _biexcedent_window(n: int, k: int, prev: int, placed) -> tuple[int, int]:
+    # sigma(k) != k, and sigma(k) > k exactly when the value k is still
+    # unplaced, i.e. when its position lies to the right of k
+    return (1, k) if placed[k] else (k + 1, n + 1)
+
+
+def _backtrack(n: int, window: Callable) -> Iterator[tuple[int, ...]]:
+    """Words of distinct letters from 1..n, in lexicographic order, whose
+    letter at each 1-based position k lies in the half-open value range
+    window(n, k, previous letter, placed-flags)."""
+    word = [0] * n
+    placed = [False] * (n + 1)
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        lo, hi = window(n, k, word[k - 2] if k >= 2 else 0, placed)
+        for v in range(lo, hi):
+            if placed[v]:
+                continue
+            word[k - 1] = v
+            if k == n:
+                yield tuple(word)
+            else:
+                placed[v] = True
+                yield from extend(k + 1)
+                placed[v] = False
+
+    if n == 0:
+        yield ()
+    else:
+        yield from extend(1)
+
+
+# sparse classes generated directly rather than filtered out of all n! words
+_WINDOWS: dict[str, Callable] = {
+    "alternating": _alternating_window,
+    "biexcedent": _biexcedent_window,
+}
+
+
 def is_in_class(p, tag: ClassTag) -> bool:
     word = tuple(p)
     if tag.kind == "r_tail_ordered":
@@ -382,7 +429,14 @@ def enumerate_class(
     n: int, tag: ClassTag = ALL, *, max_n: int = DEFAULT_PERM_BUDGET
 ) -> Iterator[Permutation]:
     """Yield every member of the class exactly once, in lexicographic word
-    order. The scan is exhaustive, hence the budget."""
+    order. The scan is exhaustive, hence the budget.
+
+    The alternating and biexcedent classes are generated directly, by a
+    lexicographic backtrack that only places letters their definition
+    allows at each position; every word it completes still passes the
+    class predicate before it is yielded. `first_is_n` and `last_is_1` fix
+    one letter and permute the rest. Every other class filters all n!
+    words through its predicate."""
     check_budget(n, max_n, "permutation enumeration")
     if tag.kind == "r_tail_ordered" and (tag.r is None or not 1 <= tag.r <= n):
         raise ValueError(f"r_tail_ordered needs 1 <= r <= n, got r={tag.r}, n={n}")
@@ -399,7 +453,11 @@ def enumerate_class(
         pred = lambda word: _is_r_tail_ordered(word, tag.r)  # noqa: E731
     else:
         pred = _PREDICATES[tag.kind]
-    for word in itertools.permutations(range(1, n + 1)):
+    if tag.kind in _WINDOWS:
+        words = _backtrack(n, _WINDOWS[tag.kind])
+    else:
+        words = itertools.permutations(range(1, n + 1))
+    for word in words:
         if pred(word):
             yield trusted_perm(word)
 

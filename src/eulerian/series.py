@@ -127,8 +127,9 @@ class TruncSeries:
         return TruncSeries(self.order, (_ZERO,) + self.coeffs[: self.order])
 
     def derivative(self) -> "TruncSeries":
+        """Term-by-term derivative; the order falls by one."""
         if self.order == 0:
-            return TruncSeries(0, (_ZERO,))
+            raise ValueError("derivative needs order >= 1: at order 0 no coefficient is known")
         return TruncSeries(
             self.order - 1, (k * self.coeffs[k] for k in range(1, self.order + 1))
         )
@@ -391,11 +392,6 @@ def roselle_egf_closed_form(order: int) -> TruncSeries:
     return unit.reciprocal()
 
 
-def specialize_outer(series: TruncSeries, value) -> TruncSeries:
-    """Substitute the outer auxiliary variable of bivariate coefficients."""
-    return series.substitute(value)
-
-
 def eulerian_from_egf(n: int, r: int) -> Poly:
     """Shifted Eulerian polynomial extracted from the r-th power of the
     closed-form classical EGF (an enumeration-free and recurrence-free
@@ -451,35 +447,35 @@ def check_mixed_egf_closed_form(
         (
             "specialize-zero-shift",
             series_identity(
-                specialize_outer(closed, T),
+                closed.substitute(T),
                 series_from_polynomials(lambda n: eulerian_shift_recurrence(n, 0), order),
             ),
         ),
         (
             "specialize-classical",
             series_identity(
-                specialize_outer(closed, 1),
+                closed.substitute(1),
                 series_from_polynomials(eulerian_polynomial, order),
             ),
         ),
         (
             "specialize-derangement",
             series_identity(
-                specialize_outer(closed, 0).truncate(upto),
+                closed.substitute(0).truncate(upto),
                 series_from_polynomials(lambda n: roselle_polynomial(n, max_n=max_n), upto),
             ),
         ),
         (
             "closed-form-zero-shift-direct",
-            series_identity(specialize_outer(closed, T), zero_shift_egf_closed_form(order)),
+            series_identity(closed.substitute(T), zero_shift_egf_closed_form(order)),
         ),
         (
             "closed-form-classical-direct",
-            series_identity(specialize_outer(closed, 1), classical_egf_closed_form(order)),
+            series_identity(closed.substitute(1), classical_egf_closed_form(order)),
         ),
         (
             "closed-form-derangement-direct",
-            series_identity(specialize_outer(closed, 0), roselle_egf_closed_form(order)),
+            series_identity(closed.substitute(0), roselle_egf_closed_form(order)),
         ),
     ]
     return out
@@ -490,8 +486,8 @@ def check_fixed_point_split_relations(order: int) -> list[tuple[str, Identity]]:
     the 0-shift EGF is 1 + t (classical - 1), and also exp(ut - u) times the
     classical EGF."""
     closed = mixed_egf_closed_form(order)
-    both_t = specialize_outer(closed, T)
-    at_one = specialize_outer(closed, 1)
+    both_t = closed.substitute(T)
+    at_one = closed.substitute(1)
     rel1 = series_identity(both_t, (at_one - 1) * T + 1)
     rel2 = series_identity(both_t, exp_of_linear(T - 1, order) * at_one)
     return [("zero-shift-affine-relation", rel1), ("zero-shift-exp-relation", rel2)]
@@ -915,7 +911,6 @@ __all__ = [
     "roselle_egf_closed_form",
     "series_from_polynomials",
     "series_identity",
-    "specialize_outer",
     "tangent_secant_series",
     "weighted_permutation_sums",
     "zero_shift_egf_closed_form",

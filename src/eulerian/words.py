@@ -196,7 +196,7 @@ def euler_numbers(
 ) -> tuple[int, ...]:
     """Counts of alternating (down-up) permutations for sizes 1..limit.
 
-    mode 'enumeration' filters every permutation (budgeted). mode
+    mode 'enumeration' sweeps the alternating class (budgeted). mode
     'c_triangle' takes the middle triangle entries for odd sizes and grows
     the even sizes from the odd ones through the exponential formula for the
     biexcedent indicator. mode 'series' reads the tangent and secant
@@ -253,16 +253,14 @@ def check_secant_alternating_sum(p: int, *, max_n: int = DEFAULT_PERM_BUDGET) ->
     n = 2 * p
     odd_zero = roselle_at_minus_one(n - 1, max_n=max_n) == 0
     lhs = (-1) ** p * roselle_at_minus_one(n, max_n=max_n)
-    t_even = bi = bi_circ = t_first = 0
-    for q in perms.enumerate_class(n, max_n=max_n):
-        alternating = perms.is_in_class(q, perms.ALTERNATING)
-        t_even += alternating
-        if perms.is_in_class(q, perms.BIEXCEDENT):
-            bi += 1
-            if perms.cycle_count(q) == 1:
-                bi_circ += 1
-        if alternating and q[0] == n:
-            t_first += 1
+    t_even = t_first = 0
+    for q in perms.enumerate_class(n, perms.ALTERNATING, max_n=max_n):
+        t_even += 1
+        t_first += q[0] == n
+    bi = bi_circ = 0
+    for q in perms.enumerate_class(n, perms.BIEXCEDENT, max_n=max_n):
+        bi += 1
+        bi_circ += perms.cycle_count(q) == 1
     t_odd = perms.class_size(n - 1, perms.ALTERNATING, max_n=max_n)
     ok = odd_zero and lhs == t_even and bi == t_even and bi_circ == t_first == t_odd
     return Identity(ok, (lhs, bi, bi_circ), (t_even, t_even, t_odd))

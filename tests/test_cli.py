@@ -162,6 +162,13 @@ class TestVerify:
         assert main(["verify", "series", "--order", str(order)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_lowered_budgets_never_fail(self, capsys):
+        for max_n in range(7):
+            for order in range(4):
+                argv = ["verify", "all", "--max-n", str(max_n), "--order", str(order), "--fn-scan-max", "4"]
+                assert main(argv) == 0, (argv, capsys.readouterr().out)
+                capsys.readouterr()
+
     @pytest.mark.parametrize("flag", ["--max-n", "--order", "--fn-scan-max"])
     def test_negative_budget_is_usage_error(self, capsys, flag):
         assert main(["verify", "chapter2", flag, "-1"]) == 2

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian.permutations import (
+    _is_alternating,
+    _is_biexcedent,
     ALL,
     ALTERNATING,
     BIEXCEDENT,
@@ -271,6 +273,22 @@ class TestClasses:
             list(enumerate_class(11, ALL))
         with pytest.raises(BudgetError):
             list(enumerate_class(5, ALL, max_n=4))
+
+    @pytest.mark.parametrize(
+        "tag, pred",
+        [(ALTERNATING, _is_alternating), (BIEXCEDENT, _is_biexcedent)],
+        ids=["alternating", "biexcedent"],
+    )
+    def test_generated_class_matches_filter(self, tag, pred):
+        # the backtrack must yield exactly the filtered words, order included
+        for n in range(10):
+            expected = [w for w in itertools.permutations(range(1, n + 1)) if pred(w)]
+            assert list(enumerate_class(n, tag)) == expected
+
+    @pytest.mark.parametrize("tag", [ALTERNATING, BIEXCEDENT], ids=["alternating", "biexcedent"])
+    def test_generated_class_budget(self, tag):
+        with pytest.raises(BudgetError):
+            list(enumerate_class(11, tag))
 
     def test_enumeration_is_lexicographic(self):
         words = [tuple(p) for p in enumerate_class(4, ALL)]

@@ -42,7 +42,6 @@ from eulerian.series import (
     roselle_egf_closed_form,
     series_from_polynomials,
     series_identity,
-    specialize_outer,
     tangent_secant_series,
     weighted_permutation_sums,
 )
@@ -67,6 +66,11 @@ class TestArithmetic:
     def test_derivative_of_integral(self):
         s = TruncSeries(5, (3, 1, 4, 1, 5, 9))
         assert s.integral().derivative() == s
+
+    def test_derivative_at_order_zero_is_unknown(self):
+        with pytest.raises(ValueError, match="order 0"):
+            TruncSeries(0, (1, 5)).derivative()
+        assert check_bernoulli_ode(0).ok
 
     def test_exp_log_roundtrip(self):
         s = TruncSeries(7, (0, 1, Fraction(1, 2), 0, 2))
@@ -155,9 +159,9 @@ class TestClosedForms:
         assert a1 == a0
         assert a2 == a1 + T * a0 * a1
 
-    def test_specialize_outer(self):
+    def test_substitute_outer_variable(self):
         mixed = mixed_egf_closed_form(5)
-        at_one = specialize_outer(mixed, 1)
+        at_one = mixed.substitute(1)
         assert series_identity(at_one, classical_egf_closed_form(5)).ok
 
 
