@@ -46,8 +46,15 @@ class Report:
 Check = tuple[str, str, Callable[[], object]]
 
 
-def _run_suite(name: str, checks: Sequence[Check]) -> Report:
+def _run_suite(name: str, build: Callable[[], Sequence[Check]]) -> Report:
+    # the clock covers building the checks too: some builders compute
+    # their identities eagerly
     start = time.perf_counter()
+    try:
+        checks = build()
+    except Exception as exc:  # a builder crash is one failure, not a traceback
+        failed = CheckResult("build", "", False, f"error: {exc}")
+        return Report(name, [failed], time.perf_counter() - start)
     results = []
     for ident, params, fn in checks:
         try:
@@ -321,13 +328,13 @@ _SUITES = ("chapter1", "chapter2", "series", "chapter5", "all")
 
 def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Report:
     if suite == "chapter1":
-        return _run_suite(suite, _chapter1_checks(max_n))
+        return _run_suite(suite, lambda: _chapter1_checks(max_n))
     if suite == "chapter2":
-        return _run_suite(suite, _chapter2_checks(max_n))
+        return _run_suite(suite, lambda: _chapter2_checks(max_n))
     if suite == "series":
-        return _run_suite(suite, _series_checks(order, max_n, fn_scan_max))
+        return _run_suite(suite, lambda: _series_checks(order, max_n, fn_scan_max))
     if suite == "chapter5":
-        return _run_suite(suite, _chapter5_checks(max_n))
+        return _run_suite(suite, lambda: _chapter5_checks(max_n))
     report = Report("all")
     for name in _SUITES[:-1]:
         sub = run_verification(name, max_n, order, fn_scan_max)
@@ -434,6 +441,8 @@ _MAPS: dict[str, Callable[[Permutation], Permutation]] = {
 
 
 def _cmd_tables(args) -> int:
+    if args.r is not None and not 1 <= args.r <= 5:
+        raise ValueError(f"--r must be a shift in 1..5, got {args.r}")
     if args.table == "eulerian":
         print(render_eulerian_table(args.format, args.r))
     else:
@@ -513,9 +522,9 @@ def _cmd_series(args) -> int:
     elif args.which == "sec":
         s = ser.tangent_secant_series(order)[1]
     elif args.which == "classical-egf":
-        s = ser.classical_egf_closed_form(order).substitute(Fraction(args.t))
+        s = ser.classical_egf_closed_form(order, at=Fraction(args.t))
     else:  # derangement-egf
-        s = ser.roselle_egf_closed_form(order).substitute(Fraction(args.t))
+        s = ser.roselle_egf_closed_form(order, at=Fraction(args.t))
     coeffs = [str(Fraction(c)) for c in s.coeffs]
     if args.format == "json":
         print(json.dumps({"order": order, "coeffs": coeffs}, sort_keys=True))

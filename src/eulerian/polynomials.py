@@ -237,6 +237,8 @@ def eulerian_triangle_recurrence(n: int, r: int) -> Poly:
     """Shifted Eulerian polynomial from the coefficient triangle; the row is
     cross-checked against the equivalent first-order differential recurrence
     before being returned."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     if r < 0:
         raise ValueError("shift must be nonnegative")
     if r >= n:
@@ -546,6 +548,8 @@ def roselle_polynomial(
     permutations and of rises over succession-free permutations."""
     if via not in ("excedance_derangements", "rises_succession_free"):
         raise ValueError(f"unknown route {via!r}")
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     check_budget(n, max_n, "permutation enumeration")
     return Poly(_roselle_counts(n, via))
 

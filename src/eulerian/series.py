@@ -356,6 +356,19 @@ def _nested_exact_div(c, d: Poly):
 _ONE_MINUS_T = Poly((1, -1))
 
 
+def _over_one_minus_t(den: TruncSeries, at=None) -> TruncSeries:
+    """(1 - t) / den for a denominator with constant term 1 - t: cancel that
+    factor from every coefficient exactly, then take the reciprocal of the
+    unit series. With `at`, t = at is substituted into the unit series first,
+    so the reciprocal runs over scalars; substitution is a ring homomorphism
+    and the unit's constant term stays 1 at every value, so the result is the
+    bivariate reciprocal evaluated at t = at."""
+    unit = den.map_coefficients(lambda c: _nested_exact_div(c, _ONE_MINUS_T))
+    if at is not None:
+        unit = unit.substitute(at)
+    return unit.reciprocal()
+
+
 def mixed_egf_closed_form(order: int) -> TruncSeries:
     """(1 - t) / (exp((t - t')u) - t exp((1 - t')u)).
 
@@ -366,30 +379,29 @@ def mixed_egf_closed_form(order: int) -> TruncSeries:
     grow = exp_of_linear(Poly((T, -1)), order)  # exp((t - t') u)
     decay = exp_of_linear(Poly((1, -1)), order)  # exp((1 - t') u)
     den = grow - decay * Poly((T,))
-    unit = den.map_coefficients(lambda c: _nested_exact_div(c, _ONE_MINUS_T))
-    return unit.reciprocal()
+    return _over_one_minus_t(den)
 
 
-def classical_egf_closed_form(order: int) -> TruncSeries:
-    """(1 - t) / (-t + exp((t - 1)u)), the EGF of the classical polynomials."""
+def classical_egf_closed_form(order: int, at=None) -> TruncSeries:
+    """(1 - t) / (-t + exp((t - 1)u)), the EGF of the classical polynomials.
+    With `at`, t = at is substituted before the reciprocal, exactly (see
+    :func:`_over_one_minus_t`)."""
     den = exp_of_linear(T - 1, order) - constant_series(T, order)
-    unit = den.map_coefficients(lambda c: _nested_exact_div(c, _ONE_MINUS_T))
-    return unit.reciprocal()
+    return _over_one_minus_t(den, at)
 
 
 def zero_shift_egf_closed_form(order: int) -> TruncSeries:
     """(1 - t) / (1 - t exp((1 - t)u)), the EGF of the 0-shift polynomials."""
     den = constant_series(Fraction(1), order) - exp_of_linear(1 - T, order) * T
-    unit = den.map_coefficients(lambda c: _nested_exact_div(c, _ONE_MINUS_T))
-    return unit.reciprocal()
+    return _over_one_minus_t(den)
 
 
-def roselle_egf_closed_form(order: int) -> TruncSeries:
+def roselle_egf_closed_form(order: int, at=None) -> TruncSeries:
     """(1 - t) / (exp(t u) - t exp(u)), the EGF of the derangement-excedance
-    polynomials."""
+    polynomials. With `at`, t = at is substituted before the reciprocal,
+    exactly (see :func:`_over_one_minus_t`)."""
     den = exp_of_linear(T, order) - exp_of_linear(Fraction(1), order) * T
-    unit = den.map_coefficients(lambda c: _nested_exact_div(c, _ONE_MINUS_T))
-    return unit.reciprocal()
+    return _over_one_minus_t(den, at)
 
 
 def eulerian_from_egf(n: int, r: int) -> Poly:
@@ -855,8 +867,8 @@ def tangent_secant_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     part (secant), with the alternating sign bookkeeping applied to real
     coefficients rather than through complex arguments.
     """
-    f = classical_egf_closed_form(order).substitute(-1)
-    g = roselle_egf_closed_form(order).substitute(-1)
+    f = classical_egf_closed_form(order, at=-1)
+    g = roselle_egf_closed_form(order, at=-1)
     tan_coeffs = [_ZERO] * (order + 1)
     sec_coeffs = [_ZERO] * (order + 1)
     for k in range(order + 1):

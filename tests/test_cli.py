@@ -1,9 +1,15 @@
 """Command-line surface: golden table output, word parsing, exit codes."""
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian.cli import (
+    _MAPS,
     main,
     parse_permutation,
     render_euler_number_table,
@@ -120,6 +126,20 @@ class TestCommands:
         assert main(["tables", "eulerian", "--r", "5"]) == 0
         assert capsys.readouterr().out.strip() == GOLDEN_R5_TEXT
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["poly", "roselle", "-n", "-1"], "error: size must be nonnegative, got -1"),
+            (["poly", "eulerian", "-n", "-1"], "error: size must be nonnegative, got -1"),
+            (["tables", "eulerian", "--r", "0"], "error: --r must be a shift in 1..5, got 0"),
+        ],
+    )
+    def test_bad_size_or_shift_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+
     def test_unknown_table_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["tables", "nonsense"])
@@ -157,6 +177,28 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL forced-failure" in out and "lhs=1" in out
 
+    def test_builder_crash_is_one_failure(self, capsys, monkeypatch):
+        import eulerian.cli as cli_mod
+
+        def crash(order, max_n, fn_scan_max):
+            raise RuntimeError("builder exploded")
+
+        monkeypatch.setattr(cli_mod, "_series_checks", crash)
+        assert main(["verify", "series"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL build [] error: builder exploded"
+        assert lines[1].startswith("series: 0/1 passed")
+
+    def test_clock_covers_the_builder(self, monkeypatch):
+        import eulerian.cli as cli_mod
+
+        def slow_build(max_n):
+            time.sleep(0.2)
+            return []
+
+        monkeypatch.setattr(cli_mod, "_chapter5_checks", slow_build)
+        assert run_verification("chapter5", 5, 5, 5).elapsed >= 0.2
+
     @pytest.mark.parametrize("order", [0, 1])
     def test_series_suite_at_smallest_orders(self, capsys, order):
         assert main(["verify", "series", "--order", str(order)]) == 0
@@ -175,3 +217,46 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == f"error: {flag} must be nonnegative, got -1"
+
+
+_WORDS = st.one_of(
+    st.text(alphabet="0123456789 ,-x", max_size=8),
+    st.integers(0, 7)
+    .flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda p: " ".join(map(str, p))),
+)
+_ARGV = st.one_of(
+    st.builds(
+        lambda kind, order, t: ["series", kind, "--order", str(order), "--t", str(t)],
+        st.sampled_from(("tan", "sec", "classical-egf", "derangement-egf")),
+        st.integers(-2, 40),
+        st.integers(-3, 3),
+    ),
+    st.builds(
+        lambda family, n, r: ["poly", family, "-n", str(n), "-r", str(r)],
+        st.sampled_from(("eulerian", "roselle", "injection")),
+        st.integers(-3, 8),
+        st.integers(-2, 5),
+    ),
+    st.builds(
+        lambda table, r: ["tables", table, "--r", str(r)],
+        st.sampled_from(("eulerian", "euler-numbers")),
+        st.integers(-2, 7),
+    ),
+    # words follow "--" so that a leading "-" reaches the parser, not argparse
+    st.builds(lambda word: ["stat", "--", word], _WORDS),
+    st.builds(
+        lambda name, r, word: ["map", name, "--r", str(r), "--verbose", "--", word],
+        st.sampled_from(tuple(_MAPS) + ("rotate",)),
+        st.integers(-3, 9),
+        _WORDS,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_random_argv_never_gives_a_traceback(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -3,7 +3,7 @@ identity battery at unit-test scale (the acceptance module pushes the same
 checks to their full stated orders)."""
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +352,50 @@ class TestTangentSecant:
         assert e.coefficient(3) == Fraction(8, 6)
         ep = exp_of_linear(T - 1, 3)
         assert ep.coefficient(2) == (T - 1) ** 2 * Fraction(1, 2)
+
+
+def _boustrophedon_euler_numbers(n_max: int) -> list[int]:
+    """E_0..E_{n_max} by the Seidel-Entringer boustrophedon: each row is
+    the running sums of the previous row read backwards."""
+    row, out = [1], [1]
+    for n in range(1, n_max + 1):
+        new = [0]
+        for k in range(n):
+            new.append(new[-1] + row[n - 1 - k])
+        row = new
+        out.append(row[-1])
+    return out
+
+
+class TestEvaluatedClosedForms:
+    """The closed forms evaluated at t before the reciprocal, against the
+    bivariate route and against routes that share no code with them."""
+
+    @pytest.mark.parametrize("form", [classical_egf_closed_form, roselle_egf_closed_form])
+    def test_matches_bivariate_then_substitute(self, form):
+        for order in range(15):
+            bivariate = form(order)
+            for t in (-1, 0, 1, 2, 3, Fraction(1, 2)):
+                assert form(order, at=t) == bivariate.substitute(t), (order, t)
+
+    def test_tangent_secant_order60_against_boustrophedon(self):
+        tan, sec = tangent_secant_series(60)
+        euler = _boustrophedon_euler_numbers(60)
+        for k in range(61):
+            odd, even = tan.coefficient(k) * factorial(k), sec.coefficient(k) * factorial(k)
+            assert (odd, even) == ((euler[k], 0) if k % 2 else (0, euler[k])), k
+
+    @pytest.mark.parametrize("t", [-1, 2])
+    def test_classical_at_value_against_triangle(self, t):
+        egf = classical_egf_closed_form(40, at=t)
+        for n in range(41):
+            assert egf.coefficient(n) * factorial(n) == eulerian_polynomial(n).eval(t), n
+
+    def test_derangement_at_two_against_binomial_inverse(self):
+        # the derangement EGF is exp(-u) times the classical one
+        egf = roselle_egf_closed_form(40, at=2)
+        classical = [eulerian_polynomial(k).eval(2) for k in range(41)]
+        for n in range(41):
+            expected = sum(comb(n, k) * (-1) ** (n - k) * classical[k] for k in range(n + 1))
+            assert egf.coefficient(n) * factorial(n) == expected, n
+
