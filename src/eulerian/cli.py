@@ -11,9 +11,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from . import permutations as perms
 from . import polynomials as poly
@@ -28,8 +30,12 @@ from .polynomials import Identity, Poly, as_int
 class CheckResult:
     identity: str
     params: str
-    ok: bool
+    status: str  # "pass", "fail", or "skip" when a budget ruled the check out
     witness: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "fail"
 
 
 @dataclass
@@ -43,221 +49,57 @@ class Report:
         return all(r.ok for r in self.results)
 
 
-Check = tuple[str, str, Callable[[], object]]
-
-
-def _run_suite(name: str, build: Callable[[], Sequence[Check]]) -> Report:
-    # the clock covers building the checks too: some builders compute
-    # their identities eagerly
-    start = time.perf_counter()
-    try:
-        checks = build()
-    except Exception as exc:  # a builder crash is one failure, not a traceback
-        failed = CheckResult("build", "", False, f"error: {exc}")
-        return Report(name, [failed], time.perf_counter() - start)
-    results = []
-    for ident, params, fn in checks:
-        try:
-            res = fn()
-        except Exception as exc:  # a crash counts as a failure, with the reason
-            results.append(CheckResult(ident, params, False, f"error: {exc}"))
-            continue
-        if isinstance(res, Identity):
-            witness = "" if res.ok else f"lhs={res.lhs!r} rhs={res.rhs!r} {res.note}".strip()
-            results.append(CheckResult(ident, params, res.ok, witness))
-        else:
-            results.append(CheckResult(ident, params, bool(res)))
-    results.sort(key=lambda r: (r.identity, r.params))
-    return Report(name, results, time.perf_counter() - start)
-
-
 # ---------------------------------------------------------------------------
-# verification suites
+# the check registry
 
 
-def _chapter1_checks(max_n: int) -> list[Check]:
-    # the exhaustive bijection certifications run at their stated scale
-    # (size 8); --max-n below that shrinks them, above only raises the budget
-    top = min(max_n, 8)
-    out: list[Check] = []
-    for n in range(top + 1):
-        out.append(("fundamental-statistics", f"n={n}", lambda n=n: tr.check_fundamental_statistics(n, max_n=max_n)))
-        out.append(("fundamental-bijection", f"n={n}", lambda n=n: tr.check_fundamental_bijection(n, max_n=max_n)))
-        out.append(("fundamental-roundtrip", f"n={n}", lambda n=n: tr.check_fundamental_roundtrip(n, max_n=max_n)))
-    for n in range(1, top + 1):
-        out.append(("record-orbit-lemma", f"n={n}", lambda n=n: tr.check_record_orbit_lemma(n, max_n=max_n)))
-        out.append(("valley-position-lemma", f"n={n}", lambda n=n: tr.check_valley_position_lemma(n, max_n=max_n)))
-        out.append(("biexcedent-alternating", f"n={n}", lambda n=n: tr.check_biexcedent_alternating(n, max_n=max_n)))
-        out.append(("rise-transport", f"n={n}", lambda n=n: tr.check_rise_transport(n, max_n=max_n)))
-        out.append(("descent-transport", f"n={n}", lambda n=n: tr.check_descent_transport(n, max_n=max_n)))
-        out.append(("circular-embedding", f"n={n}", lambda n=n: tr.check_circular_embedding(n, max_n=max_n)))
-        out.append(("reverse-rise", f"n={n}", lambda n=n: tr.check_reverse_rise(n, max_n=max_n)))
-        out.append(("complement-count", f"n={n}", lambda n=n: tr.check_complement_count(n, max_n=max_n)))
-        out.append(("fixed-point-split", f"n={n}", lambda n=n: tr.check_fixed_point_split(n, max_n=max_n)))
-        for r in range(n + 1):
-            out.append(("rotation-shift", f"n={n} r={r}", lambda n=n, r=r: tr.check_rotation_shift(n, r, max_n=max_n)))
-    # the transport check sweeps classes one size larger, so it stops one
-    # size short of the budget
-    for n in range(1, min(max_n - 1, 6) + 1):
-        for a in range(4):
-            for b in range(4 - a):
-                if a + b <= n:
-                    out.append((
-                        "multiset-transport",
-                        f"n={n} d={a} d'={b}",
-                        lambda n=n, a=a, b=b: poly.check_multiset_transport(n, a, b, max_n=max_n),
-                    ))
-    return out
+Outcome = Identity | list[tuple[str, Identity]]
 
 
-def _chapter2_checks(max_n: int) -> list[Check]:
-    out: list[Check] = []
-    top = min(max_n, 8)
-    for n in range(1, top + 1):
-        for r in range(1, n + 1):
-            out.append((
-                "cross-method-tables",
-                f"n={n} r={r}",
-                lambda n=n, r=r: _cross_method(n, r, max_n),
-            ))
-        out.append(("symmetry", f"n={n}", lambda n=n: poly.check_symmetry(n)))
-        out.append(("frobenius", f"n={n}", lambda n=n: poly.frobenius_identity(n)))
-        for r in range(1, n + 1):
-            out.append(("riordan-stirling", f"n={n} r={r}", lambda n=n, r=r: poly.riordan_stirling_identity(n, r)))
-        for m in range(1, top + 1):
-            out.append(("worpitzky", f"m={m} n={n}", lambda m=m, n=n: poly.worpitzky(m, n)))
-    out.append(("divisibility-mass", f"n<={top}", lambda: poly.check_divisibility_and_mass(top)))
-    for n in range(1, min(max_n, 6) + 1):
-        for m in range(1, min(max_n, 6) + 1):
-            for r in range(1, min(m, n) + 1):
-                out.append((
-                    "worpitzky-generalized",
-                    f"m={m} n={n} r={r}",
-                    lambda m=m, n=n, r=r: poly.worpitzky_generalized(m, n, r),
-                ))
-    small = min(max_n, 7)
-    for n in range(1, small + 1):
-        for r in range(1, min(n, 3) + 1):
-            out.append((
-                "reciprocal-descent",
-                f"n={n} r={r}",
-                lambda n=n, r=r: poly.check_reciprocal_descent_interpretation(n, r, max_n=max_n),
-            ))
-        for r in range(2, min(n, 3) + 1):
-            out.append((
-                "newcomb-specialization",
-                f"n={n} r={r}",
-                lambda n=n, r=r: poly.newcomb_specialization(n, r, max_n=max_n),
-            ))
-        for r in range(min(n, 3) + 1):
-            out.append((
-                "injection-interpretation",
-                f"n={n} r={r}",
-                lambda n=n, r=r: Identity(
-                    poly.injection_polynomial(n, r, max_n=max_n)
-                    == poly.eulerian_triangle_recurrence(n, r) * Fraction(1, poly.factorial(r)),
-                    poly.injection_polynomial(n, r, max_n=max_n),
-                    poly.eulerian_triangle_recurrence(n, r),
-                ),
-            ))
-        out.append(("mixed-specializations", f"n={n}", lambda n=n: poly.check_mixed_specializations(n, max_n=max_n)))
-        out.append((
-            "roselle-two-routes",
-            f"n={n}",
-            lambda n=n: Identity(
-                poly.roselle_polynomial(n, max_n=max_n)
-                == poly.roselle_polynomial(n, "rises_succession_free", max_n=max_n),
-                poly.roselle_polynomial(n, max_n=max_n),
-                poly.roselle_polynomial(n, "rises_succession_free", max_n=max_n),
-            ),
-        ))
-    for n in range(1, min(max_n, 6) + 1):
-        for r in (1, 2, 3):
-            out.append((
-                "cycle-weight-shift",
-                f"n={n} r={r}",
-                lambda n=n, r=r: poly.q_identity_integer_shift(n, r, max_n=max_n),
-            ))
-        out.append(("cycle-weight-reciprocal", f"n={n}", lambda n=n: poly.q_identity_reciprocal(n, max_n=max_n)))
-    for p in range(2, min(max_n, 8) + 1):
-        for q in range(1, p + 1):
-            out.append((
-                "stirling-modes",
-                f"p={p} q={q}",
-                lambda p=p, q=q: Identity(
-                    poly.stirling2(p, q) == poly.stirling2(p, q, "quasi_permutation"),
-                    poly.stirling2(p, q),
-                    poly.stirling2(p, q, "quasi_permutation"),
-                ),
-            ))
-    return out
+@dataclass(frozen=True)
+class Declaration:
+    """One identity check of a verification suite, declared once.
+
+    ``run(**point)`` is called at each point of ``grid``, the check's stated
+    scale. ``uses`` maps each budget the check consumes (``max_n``,
+    ``order``, ``fn_scan_max``) to the size a point needs of it, and a point
+    that needs more than a budget allows is left out. A parameter given as a
+    range is a bound instead: it shrinks to the largest value in the range
+    at which the point fits. ``label`` formats a point for the report
+    (default ``k=v`` pairs). A check returns one identity, or a list of
+    labelled identities that are reported under their own labels.
+    """
+
+    suite: str
+    name: str
+    run: Callable[..., Outcome]
+    grid: Sequence[dict[str, int | range]] = ({},)
+    uses: dict[str, Callable[[dict[str, int]], int]] = field(default_factory=dict)
+    label: str = ""
+
+    def points(self, budgets: dict[str, int]) -> Iterator[dict[str, int]]:
+        """The points that fit the budgets, with bounds shrunk to fit."""
+        for point in self.grid:
+            bounds = [k for k, v in point.items() if isinstance(v, range)]
+            options = [{**point, k: v} for k in bounds for v in reversed(point[k])] or [point]
+            for option in options:
+                if all(size(option) <= budgets[b] for b, size in self.uses.items()):
+                    yield option
+                    break
 
 
-def _cross_method(n: int, r: int, max_n: int) -> Identity:
-    base = poly.eulerian_triangle_recurrence(n, r)
-    routes = {
-        "enumeration": poly.eulerian_by_enumeration(n, r, max_n=max_n),
-        "shift-recurrence": poly.eulerian_shift_recurrence(n, r),
-        "egf-extraction": ser.eulerian_from_egf(n, r),
-    }
-    if r >= 1:
-        routes["explicit-sum"] = poly.eulerian_explicit(n, r)
-    for name, candidate in routes.items():
-        if candidate != base:
-            return Identity(False, candidate, base, f"route {name}")
-    return Identity(True, base, base)
+def _agree(first: Callable[..., object], **routes: Callable[..., object]) -> Callable[..., Identity]:
+    # every named route that applies at a point (returns a value, not None)
+    # must give the first route's value there
+    def run(**point) -> Identity:
+        want = first(**point)
+        for name, route in routes.items():
+            got = route(**point)
+            if got is not None and got != want:
+                return Identity(False, got, want, f"route {name}")
+        return Identity(True, want, want)
 
-
-def _series_checks(order: int, max_n: int, fn_scan_max: int) -> list[Check]:
-    enum_order = min(order, max_n)
-    perm_top = min(5, max_n)
-    out: list[Check] = [
-        ("mixed-egf-exponential-form", f"order={enum_order}", lambda: ser.check_mixed_egf_exponential_form(enum_order, max_n=max_n)),
-        ("bernoulli-ode", f"order={order}", lambda: ser.check_bernoulli_ode(order)),
-        ("convolution-recurrence", f"n<={order}", lambda: ser.check_convolution_recurrence(order)),
-        ("tree-equation", f"order={min(order, fn_scan_max)}", lambda: ser.check_tree_equation(min(order, fn_scan_max), max_scan=fn_scan_max)),
-        ("secant-exp-integral-tangent", f"order={order}", lambda: ser.check_secant_is_exp_integral_tangent(order)),
-        ("mixed-permanent", f"n<={perm_top}", lambda: ser.check_mixed_permanent(perm_top, max_n=max_n)),
-    ]
-    for label, check in ser.check_mixed_egf_closed_form(order, max_n=max_n):
-        out.append((label, f"order={order}", lambda check=check: check))
-    for label, check in ser.check_fixed_point_split_relations(order):
-        out.append((label, f"order={order}", lambda check=check: check))
-    for r in range(1, 6):
-        out.append(("shifted-egf-powers", f"r={r} order={order}", lambda r=r: ser.check_shifted_egf_powers(r, order)))
-    weights = {
-        "cycle-indicator": ser.cycle_indicator_weight(list(range(1, enum_order + 1))),
-        "biexcedent": ser.biexcedent_weight,
-        "matrix-entries": ser.matrix_entry_weight(2, 1, 3),
-    }
-    bundle_cache: dict = {}
-
-    def bundled(label: str) -> Identity:
-        if not bundle_cache:
-            bundle_cache.update(ser.exponential_formula_bundle(weights, enum_order, max_n=max_n))
-        return _both_identities(bundle_cache[label])
-
-    for label in weights:
-        out.append((f"exponential-formula-{label}", f"order={enum_order}", lambda label=label: bundled(label)))
-    theta_order = min(enum_order, 7)
-    out.append((
-        "exponential-formula-fixed-point-split",
-        f"order={theta_order}",
-        lambda: _both_identities(ser.check_exponential_formula(ser.fixed_point_split_weight, theta_order, max_n=max_n)),
-    ))
-    for r in (1, 2, 3):
-        out.append((
-            "cycle-weighted-egf-power",
-            f"r={r} order=6",
-            lambda r=r: ser.check_cycle_weighted_power(r, min(6, enum_order), max_n=max_n),
-        ))
-    for a, b, c in ((2, 1, 3), (1, 1, 1), (2, 5, 2), (0, 3, 1)):
-        for label, check in ser.check_permanent_determinant(a, b, c, order, max_size=max(order, 9)):
-            out.append((f"{label}", f"a={a} b={b} c={c} order={order}", lambda check=check: check))
-    for label, check in ser.check_staircase_examples(order):
-        out.append((label, f"order={order}", lambda check=check: check))
-    out.append(("tangent-secant-table", "order=14", _tan_sec_table_check))
-    return out
+    return run
 
 
 def _both_identities(pair: tuple[Identity, Identity]) -> Identity:
@@ -265,85 +107,225 @@ def _both_identities(pair: tuple[Identity, Identity]) -> Identity:
     return eq_exp if not eq_exp.ok else eq_inv
 
 
+def _exponential_formulas(order: int) -> list[tuple[str, Identity]]:
+    # one sweep of S_n serves the three weights
+    weights = {
+        "cycle-indicator": ser.cycle_indicator_weight(list(range(1, order + 1))),
+        "biexcedent": ser.biexcedent_weight,
+        "matrix-entries": ser.matrix_entry_weight(2, 1, 3),
+    }
+    bundle = ser.exponential_formula_bundle(weights, order)
+    return [(f"exponential-formula-{label}", _both_identities(pair)) for label, pair in bundle.items()]
+
+
+def _sizes(first: int, last: int) -> list[dict[str, int]]:
+    return [{"n": n} for n in range(first, last + 1)]
+
+
 _EULER_NUMBERS = (1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765, 22368256, 199360981)
+_SWEEP = {"max_n": itemgetter("n")}
+_SERIES = {"order": itemgetter("order")}
+_SERIES_SWEEP = {"order": itemgetter("order"), "max_n": itemgetter("order")}
+_ORDER_10 = [{"order": range(11)}]
 
 
-def _tan_sec_table_check() -> Identity:
-    tan, sec = ser.tangent_secant_series(14)
-    got = tuple(
-        as_int((tan if m % 2 else sec).coefficient(m) * poly.factorial(m)) for m in range(1, 15)
-    )
-    return Identity(got == _EULER_NUMBERS, got, _EULER_NUMBERS)
-
-
-def _chapter5_checks(max_n: int) -> list[Check]:
-    # word sweeps run at their stated scale (size 8) within the budget
-    top = min(max_n, 8)
-    out: list[Check] = []
-    for n in range(3, top + 1):
-        out.append(("word-derivation-step", f"n={n}", lambda n=n: words.check_derivation_step(n, max_n=max_n)))
-    if top >= 2:
-        out.append((
-            "c-triangle-modes",
-            f"n<={top}",
-            lambda: Identity(
-                words.c_triangle(top) == words.c_triangle(top, "abelianization", max_n=max_n),
-                words.c_triangle(top),
-                words.c_triangle(top, "abelianization", max_n=max_n),
+def _registry() -> tuple[Declaration, ...]:
+    """Every check of the four suites. The tuple is built at each run, so a
+    check is whatever function its module holds at that moment."""
+    return (
+        Declaration("chapter1", "fundamental-statistics", tr.check_fundamental_statistics, _sizes(0, 8), _SWEEP),
+        Declaration("chapter1", "fundamental-bijection", tr.check_fundamental_bijection, _sizes(0, 8), _SWEEP),
+        Declaration("chapter1", "fundamental-roundtrip", tr.check_fundamental_roundtrip, _sizes(0, 8), _SWEEP),
+        Declaration("chapter1", "record-orbit-lemma", tr.check_record_orbit_lemma, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "valley-position-lemma", tr.check_valley_position_lemma, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "biexcedent-alternating", tr.check_biexcedent_alternating, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "rise-transport", tr.check_rise_transport, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "descent-transport", tr.check_descent_transport, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "circular-embedding", tr.check_circular_embedding, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "reverse-rise", tr.check_reverse_rise, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "complement-count", tr.check_complement_count, _sizes(1, 8), _SWEEP),
+        Declaration("chapter1", "fixed-point-split", tr.check_fixed_point_split, _sizes(1, 8), _SWEEP),
+        Declaration(
+            "chapter1", "rotation-shift", tr.check_rotation_shift,
+            [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "multiset-transport", poly.check_multiset_transport,
+            [
+                {"n": n, "n_delta": a, "n_prime": b}
+                for n in range(1, 8) for a in range(4) for b in range(4 - a) if a + b <= n
+            ],
+            {"max_n": lambda p: p["n"] + 1},  # two of its classes have size n + 1
+            "n={n} d={n_delta} d'={n_prime}",
+        ),
+        Declaration(
+            "chapter2", "cross-method-tables",
+            _agree(
+                poly.eulerian_triangle_recurrence,
+                enumeration=poly.eulerian_by_enumeration,
+                shift_recurrence=poly.eulerian_shift_recurrence,
+                # the EGF extraction and the explicit sum start at shift 1
+                egf_extraction=lambda n, r: ser.eulerian_from_egf(n, r) if r else None,
+                explicit_sum=lambda n, r: poly.eulerian_explicit(n, r) if r else None,
             ),
-        ))
-    for n in range(2, max(top, 9) + 1):
-        out.append(("valley-expansion", f"n={n}", lambda n=n: words.check_valley_expansion(n)))
-    for p in range(1, min(max_n, 10) // 2 + 1):
-        out.append(("tangent-alternating-sum", f"p={p}", lambda p=p: words.check_tangent_alternating_sum(p, max_n=max_n)))
-        out.append(("secant-alternating-sum", f"p={p}", lambda p=p: words.check_secant_alternating_sum(p, max_n=max_n)))
-    for n in range(2, min(max_n, 7) + 1):
-        out.append(("reversal-bridge", f"n={n}", lambda n=n: words.check_reversal_bridge(n, max_n=max_n)))
-    limit = min(max_n, 10)
-    out.append((
-        "euler-number-modes",
-        f"n<={limit}",
-        lambda: Identity(
-            words.euler_numbers(limit, "enumeration", max_n=max_n)
-            == words.euler_numbers(limit)
-            == words.euler_numbers(limit, "series"),
-            words.euler_numbers(limit, "enumeration", max_n=max_n),
-            words.euler_numbers(limit),
+            [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
         ),
-    ))
-    out.append((
-        "euler-number-table",
-        "n<=14",
-        lambda: Identity(
-            words.euler_numbers(14) == _EULER_NUMBERS and words.euler_numbers(14, "series") == _EULER_NUMBERS,
-            words.euler_numbers(14),
-            _EULER_NUMBERS,
+        Declaration("chapter2", "symmetry", poly.check_symmetry, _sizes(1, 8)),
+        Declaration("chapter2", "frobenius", poly.frobenius_identity, _sizes(1, 8)),
+        Declaration(
+            "chapter2", "riordan-stirling", poly.riordan_stirling_identity,
+            [{"n": n, "r": r} for n in range(1, 9) for r in range(1, n + 1)],
         ),
-    ))
-    return out
+        Declaration(
+            "chapter2", "worpitzky", poly.worpitzky, [{"m": m, "n": n} for m in range(1, 9) for n in range(1, 9)]
+        ),
+        Declaration(
+            "chapter2", "divisibility-mass", poly.check_divisibility_and_mass, [{"n_max": 8}], label="n<={n_max}"
+        ),
+        Declaration(
+            "chapter2", "worpitzky-generalized", poly.worpitzky_generalized,
+            [{"m": m, "n": n, "r": r} for m in range(1, 7) for n in range(1, 7) for r in range(1, min(m, n) + 1)],
+        ),
+        Declaration(
+            "chapter2", "reciprocal-descent", poly.check_reciprocal_descent_interpretation,
+            [{"n": n, "r": r} for n in range(1, 8) for r in range(1, min(n, 3) + 1)], _SWEEP,
+        ),
+        Declaration(
+            "chapter2", "newcomb-specialization", poly.newcomb_specialization,
+            [{"n": n, "r": r} for n in range(2, 8) for r in range(2, min(n, 3) + 1)], _SWEEP,
+        ),
+        Declaration(
+            "chapter2", "injection-interpretation",
+            _agree(
+                lambda n, r: poly.eulerian_triangle_recurrence(n, r) * Fraction(1, poly.factorial(r)),
+                injections=poly.injection_polynomial,
+            ),
+            [{"n": n, "r": r} for n in range(1, 8) for r in range(min(n, 3) + 1)], _SWEEP,
+        ),
+        Declaration("chapter2", "mixed-specializations", poly.check_mixed_specializations, _sizes(1, 7), _SWEEP),
+        Declaration(
+            "chapter2", "roselle-two-routes",
+            _agree(
+                poly.roselle_polynomial, succession_free=lambda n: poly.roselle_polynomial(n, "rises_succession_free")
+            ),
+            _sizes(1, 7), _SWEEP,
+        ),
+        Declaration(
+            "chapter2", "cycle-weight-shift", poly.q_identity_integer_shift,
+            [{"n": n, "r": r} for n in range(1, 7) for r in (1, 2, 3)], _SWEEP,
+        ),
+        Declaration("chapter2", "cycle-weight-reciprocal", poly.q_identity_reciprocal, _sizes(1, 6), _SWEEP),
+        Declaration(
+            "chapter2", "stirling-modes",
+            _agree(poly.stirling2, quasi_permutation=lambda p, q: poly.stirling2(p, q, "quasi_permutation")),
+            [{"p": p, "q": q} for p in range(2, 9) for q in range(1, p + 1)], {"max_n": itemgetter("p")},
+        ),
+        Declaration("series", "mixed-egf-exponential-form", ser.check_mixed_egf_exponential_form, _ORDER_10, _SERIES_SWEEP),
+        Declaration("series", "bernoulli-ode", ser.check_bernoulli_ode, _ORDER_10, _SERIES),
+        Declaration(
+            "series", "convolution-recurrence", ser.check_convolution_recurrence, [{"n_max": range(11)}],
+            {"order": itemgetter("n_max")}, "n<={n_max}",
+        ),
+        Declaration(
+            "series", "tree-equation", ser.check_tree_equation, [{"order": range(8)}],
+            {"order": itemgetter("order"), "fn_scan_max": itemgetter("order")},
+        ),
+        Declaration("series", "secant-exp-integral-tangent", ser.check_secant_is_exp_integral_tangent, _ORDER_10, _SERIES),
+        Declaration(
+            "series", "mixed-permanent", ser.check_mixed_permanent, [{"n_max": range(7)}],
+            {"max_n": itemgetter("n_max")}, "n<={n_max}",
+        ),
+        Declaration("series", "mixed-egf-closed-form", ser.check_mixed_egf_closed_form, _ORDER_10, _SERIES_SWEEP),
+        Declaration("series", "zero-shift-relations", ser.check_fixed_point_split_relations, _ORDER_10, _SERIES),
+        Declaration(
+            "series", "shifted-egf-powers", ser.check_shifted_egf_powers,
+            [{"r": r, "order": range(11)} for r in range(1, 6)], _SERIES,
+        ),
+        Declaration("series", "exponential-formula", _exponential_formulas, _ORDER_10, _SERIES_SWEEP),
+        Declaration(
+            "series", "exponential-formula-fixed-point-split",
+            lambda order: _both_identities(ser.check_exponential_formula(ser.fixed_point_split_weight, order)),
+            [{"order": range(8)}], _SERIES_SWEEP,
+        ),
+        Declaration(
+            "series", "cycle-weighted-egf-power", ser.check_cycle_weighted_power,
+            [{"r": r, "order": range(7)} for r in (1, 2, 3)], _SERIES_SWEEP,
+        ),
+        Declaration(
+            "series", "permanent-determinant",
+            lambda a, b, c, order: ser.check_permanent_determinant(a, b, c, order, max_size=order),
+            [{"a": a, "b": b, "c": c, "order": range(11)} for a, b, c in ((2, 1, 3), (1, 1, 1), (2, 5, 2), (0, 3, 1))],
+            _SERIES,
+        ),
+        Declaration("series", "staircase-examples", ser.check_staircase_examples, _ORDER_10, _SERIES),
+        Declaration(
+            "series", "tangent-secant-table",
+            _agree(lambda order: _EULER_NUMBERS[:order], series=lambda order: words.euler_numbers(order, "series")),
+            [{"order": 14}],
+        ),
+        Declaration("chapter5", "word-derivation-step", words.check_derivation_step, _sizes(3, 8), _SWEEP),
+        Declaration(
+            "chapter5", "c-triangle-modes",
+            _agree(words.c_triangle, abelianization=lambda n: words.c_triangle(n, "abelianization")),
+            [{"n": range(2, 9)}], _SWEEP, "n<={n}",
+        ),
+        Declaration("chapter5", "valley-expansion", words.check_valley_expansion, _sizes(2, 9)),
+        Declaration(
+            "chapter5", "tangent-alternating-sum", words.check_tangent_alternating_sum, [{"p": p} for p in range(1, 6)],
+            {"max_n": lambda pt: 2 * pt["p"]},
+        ),
+        Declaration(
+            "chapter5", "secant-alternating-sum", words.check_secant_alternating_sum, [{"p": p} for p in range(1, 6)],
+            {"max_n": lambda pt: 2 * pt["p"]},
+        ),
+        Declaration("chapter5", "reversal-bridge", words.check_reversal_bridge, _sizes(2, 7), _SWEEP),
+        Declaration(
+            "chapter5", "euler-number-modes",
+            _agree(
+                lambda n: words.euler_numbers(n),
+                enumeration=lambda n: words.euler_numbers(n, "enumeration"),
+                series=lambda n: words.euler_numbers(n, "series"),
+            ),
+            [{"n": range(11)}], _SWEEP, "n<={n}",
+        ),
+        Declaration(
+            "chapter5", "euler-number-table",
+            _agree(
+                lambda n: _EULER_NUMBERS[:n],
+                c_triangle=lambda n: words.euler_numbers(n),
+                series=lambda n: words.euler_numbers(n, "series"),
+            ),
+            [{"n": 14}], label="n<={n}",
+        ),
+    )
 
 
 _SUITES = ("chapter1", "chapter2", "series", "chapter5", "all")
 
 
 def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Report:
-    if suite == "chapter1":
-        return _run_suite(suite, lambda: _chapter1_checks(max_n))
-    if suite == "chapter2":
-        return _run_suite(suite, lambda: _chapter2_checks(max_n))
-    if suite == "series":
-        return _run_suite(suite, lambda: _series_checks(order, max_n, fn_scan_max))
-    if suite == "chapter5":
-        return _run_suite(suite, lambda: _chapter5_checks(max_n))
-    report = Report("all")
-    for name in _SUITES[:-1]:
-        sub = run_verification(name, max_n, order, fn_scan_max)
-        report.results.extend(
-            CheckResult(f"{sub.suite}/{r.identity}", r.params, r.ok, r.witness) for r in sub.results
-        )
-        report.elapsed += sub.elapsed
-    report.results.sort(key=lambda r: (r.identity, r.params))
-    return report
+    budgets = {"max_n": max_n, "order": order, "fn_scan_max": fn_scan_max}
+    start = time.perf_counter()
+    results = []
+    for decl in _registry():
+        if suite not in (decl.suite, "all"):
+            continue
+        prefix = f"{decl.suite}/" if suite == "all" else ""
+        for point in decl.points(budgets):
+            params = decl.label.format(**point) if decl.label else " ".join(f"{k}={v}" for k, v in point.items())
+            try:
+                outcome = decl.run(**point)
+            except BudgetError as exc:  # out of budget: skipped, with the reason
+                results.append(CheckResult(prefix + decl.name, params, "skip", str(exc)))
+                continue
+            except Exception as exc:  # a crash fails this check only, with the reason
+                results.append(CheckResult(prefix + decl.name, params, "fail", f"error: {exc}"))
+                continue
+            for ident, res in [(decl.name, outcome)] if isinstance(outcome, Identity) else outcome:
+                witness = "" if res.ok else f"lhs={res.lhs!r} rhs={res.rhs!r} {res.note}".strip()
+                results.append(CheckResult(prefix + ident, params, "pass" if res.ok else "fail", witness))
+    results.sort(key=lambda r: (r.identity, r.params))
+    return Report(suite, results, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +423,8 @@ _MAPS: dict[str, Callable[[Permutation], Permutation]] = {
 
 
 def _cmd_tables(args) -> int:
+    if args.r is not None and args.table != "eulerian":
+        raise ValueError(f"--r applies to the eulerian table only, not {args.table}")
     if args.r is not None and not 1 <= args.r <= 5:
         raise ValueError(f"--r must be a shift in 1..5, got {args.r}")
     if args.table == "eulerian":
@@ -546,21 +530,18 @@ def _cmd_verify(args) -> int:
             "suite": report.suite,
             "elapsed": round(report.elapsed, 3),
             "ok": report.ok,
-            "results": [
-                {"identity": r.identity, "params": r.params, "ok": r.ok, "witness": r.witness}
-                for r in report.results
-            ],
+            "results": [{**asdict(r), "ok": r.ok} for r in report.results],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
         for r in report.results:
-            status = "PASS" if r.ok else "FAIL"
-            line = f"{status} {r.identity} [{r.params}]"
+            line = f"{r.status.upper()} {r.identity} [{r.params}]"
             if r.witness:
                 line += f" {r.witness}"
             print(line)
-        passed = sum(1 for r in report.results if r.ok)
-        print(f"{report.suite}: {passed}/{len(report.results)} passed in {report.elapsed:.1f}s")
+        counts = Counter(r.status for r in report.results)
+        skipped = f", {counts['skip']} skipped" if counts["skip"] else ""
+        print(f"{report.suite}: {counts['pass']}/{len(report.results)} passed{skipped} in {report.elapsed:.1f}s")
     return 0 if report.ok else 1
 
 

@@ -466,18 +466,6 @@ def class_size(n: int, tag: ClassTag, *, max_n: int = DEFAULT_PERM_BUDGET) -> in
     return sum(1 for _ in enumerate_class(n, tag, max_n=max_n))
 
 
-def statistic_multiset(
-    n: int,
-    tag: ClassTag,
-    stat: Callable[[Permutation], StatVector],
-    *,
-    max_n: int = DEFAULT_PERM_BUDGET,
-) -> tuple:
-    """Sorted tuple of statistic vectors over a class: a canonical multiset
-    encoding, so two multisets are equal iff these tuples are."""
-    return tuple(sorted(stat(p) for p in enumerate_class(n, tag, max_n=max_n)))
-
-
 def zeta(n: int) -> Permutation:
     """The cycle (2, 3, ..., n, 1) sending n to 1 and k to k+1 below n."""
     return trusted_perm(tuple(range(2, n + 1)) + (1,)) if n else trusted_perm(())
@@ -521,7 +509,6 @@ __all__ = [
     "r_tail_ordered",
     "rise_vector",
     "signature",
-    "statistic_multiset",
     "trusted_perm",
     "zeta",
 ]

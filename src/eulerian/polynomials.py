@@ -14,6 +14,7 @@ it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -644,6 +645,24 @@ def injection_polynomial(n: int, r: int, *, max_n: int = DEFAULT_PERM_BUDGET) ->
     return Poly(counts)
 
 
+@lru_cache(maxsize=1)
+def _transport_families(n: int, max_n: int) -> tuple[tuple[tuple[StatVector, int], ...], ...]:
+    # the raw vector multisets of check_multiset_transport at size n, as
+    # (vector, multiplicity) pairs, so that one sweep per family serves
+    # every operator; the plain descent family comes last
+    def tally(size: int, tag, stat: Callable[[perms.Permutation], StatVector]):
+        return tuple(Counter(stat(p) for p in perms.enumerate_class(size, tag, max_n=max_n)).items())
+
+    return (
+        tally(n, perms.ALL, perms.excedance_vector),
+        tally(n, perms.ALL, perms.descent_plus_certificate),
+        tally(n, perms.ALL, perms.rise_vector),
+        tally(n + 1, perms.CIRCULAR, lambda p: perms.delta(perms.excedance_vector(p))),
+        tally(n + 1, perms.FIRST_IS_N, lambda p: perms.delta(perms.descent_vector(p))),
+        tally(n, perms.ALL, perms.descent_vector),
+    )
+
+
 def check_multiset_transport(
     n: int, n_delta: int, n_prime: int, *, max_n: int = DEFAULT_PERM_BUDGET
 ) -> Identity:
@@ -651,42 +670,23 @@ def check_multiset_transport(
     and rise statistics over size n, the lowered excedances over circular
     words of size n+1, and the lowered descents over size-(n+1) words
     starting with n+1 all give the same multiset of vectors; the plain
-    descent statistic joins them exactly when a >= 1."""
+    descent statistic joins them exactly when a >= 1.
+
+    Each family is swept once per size and kept for the last size asked,
+    so consecutive calls at one size share the sweeps."""
     a, b = n_delta, n_prime
     if a + b > n:
         raise ValueError("operator degree exceeds the vector length")
 
-    def gamma(v: StatVector) -> StatVector:
-        return perms.delta_power(StatVector(v[b:]), a)
+    def pushed(family: tuple[tuple[StatVector, int], ...]) -> Counter:
+        out: Counter = Counter()
+        for v, mult in family:
+            out[perms.delta_power(StatVector(v[b:]), a)] += mult
+        return out
 
-    families = [
-        perms.statistic_multiset(
-            n, perms.ALL, lambda p: gamma(perms.excedance_vector(p)), max_n=max_n
-        ),
-        perms.statistic_multiset(
-            n, perms.ALL, lambda p: gamma(perms.descent_plus_certificate(p)), max_n=max_n
-        ),
-        perms.statistic_multiset(
-            n, perms.ALL, lambda p: gamma(perms.rise_vector(p)), max_n=max_n
-        ),
-        perms.statistic_multiset(
-            n + 1,
-            perms.CIRCULAR,
-            lambda p: gamma(perms.delta(perms.excedance_vector(p))),
-            max_n=max_n,
-        ),
-        perms.statistic_multiset(
-            n + 1,
-            perms.FIRST_IS_N,
-            lambda p: gamma(perms.delta(perms.descent_vector(p))),
-            max_n=max_n,
-        ),
-    ]
+    *families, descents = map(pushed, _transport_families(n, max_n))
     if any(fam != families[0] for fam in families[1:]):
         return Identity(False, families[0], families, f"Gamma = d^{a} d'^{b}")
-    descents = perms.statistic_multiset(
-        n, perms.ALL, lambda p: gamma(perms.descent_vector(p)), max_n=max_n
-    )
     matches = descents == families[0]
     # the plain descent family coincides exactly when a delta factor is
     # present, except in the degenerate case a + b >= n where every vector

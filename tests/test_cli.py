@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerian.cli as cli_mod
 from eulerian.cli import (
     _MAPS,
+    Declaration,
     main,
     parse_permutation,
     render_euler_number_table,
     render_eulerian_table,
     run_verification,
 )
+from eulerian.permutations import BudgetError
+from eulerian.polynomials import Identity
 
 GOLDEN_R5_TEXT = """r=5
 n=5: 1
@@ -132,6 +136,10 @@ class TestCommands:
             (["poly", "roselle", "-n", "-1"], "error: size must be nonnegative, got -1"),
             (["poly", "eulerian", "-n", "-1"], "error: size must be nonnegative, got -1"),
             (["tables", "eulerian", "--r", "0"], "error: --r must be a shift in 1..5, got 0"),
+            (
+                ["tables", "euler-numbers", "--r", "3"],
+                "error: --r applies to the eulerian table only, not euler-numbers",
+            ),
         ],
     )
     def test_bad_size_or_shift_is_usage_error(self, capsys, argv, message):
@@ -165,39 +173,63 @@ class TestVerify:
         assert report.ok
 
     def test_exit_status_reflects_failures(self, capsys, monkeypatch):
-        import eulerian.cli as cli_mod
-        from eulerian.polynomials import Identity
-
-        monkeypatch.setattr(
-            cli_mod,
-            "_chapter5_checks",
-            lambda max_n: [("forced-failure", "n=0", lambda: Identity(False, 1, 2, "boom"))],
-        )
+        forced = Declaration("chapter5", "forced-failure", lambda: Identity(False, 1, 2, "boom"))
+        monkeypatch.setattr(cli_mod, "_registry", lambda: (forced,))
         assert main(["verify", "chapter5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL forced-failure" in out and "lhs=1" in out
 
-    def test_builder_crash_is_one_failure(self, capsys, monkeypatch):
-        import eulerian.cli as cli_mod
+    def test_crashing_check_fails_only_itself(self, capsys, monkeypatch):
+        def crash(n):
+            raise RuntimeError("check exploded")
 
-        def crash(order, max_n, fn_scan_max):
-            raise RuntimeError("builder exploded")
-
-        monkeypatch.setattr(cli_mod, "_series_checks", crash)
+        registry = (
+            Declaration("series", "crashing", crash, ({"n": 1},)),
+            Declaration("series", "passing", lambda n: Identity(True, n, n), ({"n": 1},)),
+        )
+        monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
         assert main(["verify", "series"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "FAIL build [] error: builder exploded"
-        assert lines[1].startswith("series: 0/1 passed")
+        assert lines[:2] == ["FAIL crashing [n=1] error: check exploded", "PASS passing [n=1]"]
+        assert lines[2].startswith("series: 1/2 passed")
 
-    def test_clock_covers_the_builder(self, monkeypatch):
-        import eulerian.cli as cli_mod
+    def test_a_route_that_disagrees_fails_with_its_name(self):
+        check = cli_mod._agree(lambda n: n, same=lambda n: n, not_here=lambda n: None, off=lambda n: n + 1)
+        assert check(n=2) == Identity(False, 3, 2, "route off")
+        assert cli_mod._agree(lambda n: n, not_here=lambda n: None)(n=2).ok
 
-        def slow_build(max_n):
-            time.sleep(0.2)
-            return []
+    def test_budget_error_is_a_skip(self, capsys, monkeypatch):
+        def over_budget():
+            raise BudgetError("scan at n=9 exceeds the configured limit max_n=8")
 
-        monkeypatch.setattr(cli_mod, "_chapter5_checks", slow_build)
+        monkeypatch.setattr(cli_mod, "_registry", lambda: (Declaration("chapter1", "too-large", over_budget),))
+        assert main(["verify", "chapter1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "SKIP too-large [] scan at n=9 exceeds the configured limit max_n=8"
+        assert lines[1].startswith("chapter1: 0/1 passed, 1 skipped")
+        assert main(["verify", "chapter1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert [(r["ok"], r["status"]) for r in payload["results"]] == [(True, "skip")]
+
+    def test_clock_covers_every_check(self, monkeypatch):
+        def slow(n):
+            time.sleep(0.1)
+            return Identity(True, n, n)
+
+        registry = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 2})),)
+        monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
         assert run_verification("chapter5", 5, 5, 5).elapsed >= 0.2
+
+    def test_budgets_shrink_or_leave_out_points(self):
+        decl = Declaration(
+            "series", "bounded", lambda n, order: None,
+            tuple({"n": n, "order": range(2, 11)} for n in (1, 3)),
+            {"max_n": lambda p: p["n"], "order": lambda p: p["order"]},
+        )
+        budgets = {"max_n": 2, "order": 4, "fn_scan_max": 0}
+        assert list(decl.points(budgets)) == [{"n": 1, "order": 4}]
+        assert list(decl.points({**budgets, "order": 1})) == []
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_series_suite_at_smallest_orders(self, capsys, order):
@@ -205,15 +237,22 @@ class TestVerify:
         assert "FAIL" not in capsys.readouterr().out
 
     def test_lowered_budgets_never_fail(self, capsys):
-        for max_n in range(7):
+        for max_n in range(8):
             for order in range(4):
                 argv = ["verify", "all", "--max-n", str(max_n), "--order", str(order), "--fn-scan-max", "4"]
                 assert main(argv) == 0, (argv, capsys.readouterr().out)
                 capsys.readouterr()
 
-    @pytest.mark.parametrize("flag", ["--max-n", "--order", "--fn-scan-max"])
-    def test_negative_budget_is_usage_error(self, capsys, flag):
-        assert main(["verify", "chapter2", flag, "-1"]) == 2
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [
+            pytest.param(suite, flag, id=flag if suite == "chapter2" else suite + flag)
+            for suite in ("chapter2", "all")
+            for flag in ("--max-n", "--order", "--fn-scan-max")
+        ],
+    )
+    def test_negative_budget_is_usage_error(self, capsys, suite, flag):
+        assert main(["verify", suite, flag, "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == f"error: {flag} must be nonnegative, got -1"
