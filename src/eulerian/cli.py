@@ -252,8 +252,7 @@ def _registry() -> tuple[Declaration, ...]:
             [{"r": r, "order": range(7)} for r in (1, 2, 3)], _SERIES_SWEEP,
         ),
         Declaration(
-            "series", "permanent-determinant",
-            lambda a, b, c, order: ser.check_permanent_determinant(a, b, c, order, max_size=order),
+            "series", "permanent-determinant", ser.check_permanent_determinant,
             [{"a": a, "b": b, "c": c, "order": range(11)} for a, b, c in ((2, 1, 3), (1, 1, 1), (2, 5, 2), (0, 3, 1))],
             _SERIES,
         ),

@@ -111,9 +111,7 @@ def _cycles_are_loops(word) -> bool:
     return True
 
 
-def count_class_functions(
-    n: int, kind: str, *, max_n: int = DEFAULT_MAP_SCAN_BUDGET
-) -> int:
+def count_class_functions(n: int, kind: str) -> int:
     """Exhaustively count maps by class.
 
     kind 'ultimately_idempotent': the n-th iterate equals the (n-1)-st, which
@@ -125,7 +123,7 @@ def count_class_functions(
         raise ValueError(f"unknown kind {kind!r}")
     if n == 0:
         return 1 if kind == "ultimately_idempotent" else 0
-    check_budget(n, max_n, "endofunction scan")
+    check_budget(n, DEFAULT_MAP_SCAN_BUDGET, "endofunction scan")
     count = 0
     if kind == "ultimately_idempotent":
         for image in itertools.product(range(1, n + 1), repeat=n):

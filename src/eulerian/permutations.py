@@ -462,8 +462,8 @@ def enumerate_class(
             yield trusted_perm(word)
 
 
-def class_size(n: int, tag: ClassTag, *, max_n: int = DEFAULT_PERM_BUDGET) -> int:
-    return sum(1 for _ in enumerate_class(n, tag, max_n=max_n))
+def class_size(n: int, tag: ClassTag) -> int:
+    return sum(1 for _ in enumerate_class(n, tag))
 
 
 def zeta(n: int) -> Permutation:

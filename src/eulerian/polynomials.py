@@ -293,13 +293,7 @@ _STAT_KEYS = (
 )
 
 
-def eulerian_by_enumeration(
-    n: int,
-    r: int,
-    stat: str = "delta_excedance",
-    *,
-    max_n: int = DEFAULT_PERM_BUDGET,
-) -> Poly:
+def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Poly:
     """Generating polynomial of a degree-r shifted statistic over a class.
 
     All choices of ``stat`` produce the same polynomial, each through a
@@ -325,7 +319,7 @@ def eulerian_by_enumeration(
         return Poly((factorial(n),))
     counts = [0] * (n + 1)
     if stat == "delta_excedance":
-        check_budget(n, max_n, "permutation enumeration")
+        check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
         for word in itertools.permutations(range(1, n + 1)):
             c = 0
             for k in range(n - r):
@@ -354,7 +348,7 @@ def eulerian_by_enumeration(
     else:  # first_letter_descent
         tag, size, vec = perms.FIRST_IS_N, n + 1, perms.descent_vector
         op = lambda v: StatVector(perms.delta(v)[r:])
-    for p in perms.enumerate_class(size, tag, max_n=max_n):
+    for p in perms.enumerate_class(size, tag):
         counts[perms.positive_count(op(vec(p)))] += 1
     return Poly(counts)
 
@@ -408,7 +402,7 @@ def _stirling_row(p: int) -> tuple[int, ...]:
     return row
 
 
-def stirling2(p: int, q: int, mode: str = "recurrence", *, max_p: int = 8) -> int:
+def stirling2(p: int, q: int, mode: str = "recurrence") -> int:
     """Number of partitions of a p-set into q blocks.
 
     mode 'recurrence' uses the classical two-term recurrence. mode
@@ -422,7 +416,7 @@ def stirling2(p: int, q: int, mode: str = "recurrence", *, max_p: int = 8) -> in
         return _stirling_row(p)[q - 1]
     if mode != "quasi_permutation":
         raise ValueError(f"unknown mode {mode!r}")
-    check_budget(p, max_p, "quasi-permutation scan")
+    check_budget(p, 8, "quasi-permutation scan")
     pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
 
     def count(idx: int, left: int, rows: int, cols: int) -> int:
@@ -508,16 +502,14 @@ def count_monotone_maps(m: int, n: int, distinguished: Sequence[int]) -> int:
 # Newcomb specialization and further interpretations
 
 
-def newcomb_specialization(
-    n: int, r: int, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Identity:
+def newcomb_specialization(n: int, r: int) -> Identity:
     """Reciprocal shifted polynomial against r! times the descent generating
     polynomial over the words whose r largest values appear in order."""
     if r < 2:
         raise ValueError("the specialization needs r >= 2")
     lhs = reciprocal_poly(eulerian_triangle_recurrence(n, r), n - r)
     counts = [0] * (n + 1)
-    for p in perms.enumerate_class(n, perms.r_tail_ordered(r), max_n=max_n):
+    for p in perms.enumerate_class(n, perms.r_tail_ordered(r)):
         counts[perms.positive_count(perms.delta(perms.descent_vector(p)))] += 1
     rhs = factorial(r) * Poly(counts)
     return Identity(lhs == rhs, lhs, rhs)
@@ -537,21 +529,19 @@ def _roselle_counts(n: int, via: str) -> tuple[int, ...]:
             else:
                 counts[c] += 1
     else:
-        for p in perms.enumerate_class(n, perms.SUCCESSION_FREE, max_n=n):
+        for p in perms.enumerate_class(n, perms.SUCCESSION_FREE):
             counts[perms.positive_count(perms.rise_vector(p))] += 1
     return tuple(counts)
 
 
-def roselle_polynomial(
-    n: int, via: str = "excedance_derangements", *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Poly:
+def roselle_polynomial(n: int, via: str = "excedance_derangements") -> Poly:
     """Common generating polynomial of excedances over fixed-point-free
     permutations and of rises over succession-free permutations."""
     if via not in ("excedance_derangements", "rises_succession_free"):
         raise ValueError(f"unknown route {via!r}")
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    check_budget(n, max_n, "permutation enumeration")
+    check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
     return Poly(_roselle_counts(n, via))
 
 
@@ -570,7 +560,7 @@ def _fix_exc_counts(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in counts)
 
 
-def abar_polynomial(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Poly:
+def abar_polynomial(n: int) -> Poly:
     """Joint generating polynomial of fixed points (outer variable t') and
     strict excedances (inner variable t) over all permutations of size n.
 
@@ -578,14 +568,14 @@ def abar_polynomial(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Poly:
     polynomial, the classical Eulerian polynomial, and the derangement
     restriction respectively.
     """
-    check_budget(n, max_n, "permutation enumeration")
+    check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
     return Poly(tuple(Poly(row) for row in _fix_exc_counts(n)))
 
 
-def q_polynomial(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Poly:
+def q_polynomial(n: int) -> Poly:
     """Joint generating polynomial of cycle count (outer variable r) and
     strict excedances (inner variable t)."""
-    check_budget(n, max_n, "permutation enumeration")
+    check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
     counts = [[0] * (n + 1) for _ in range(n + 1)]
     for word in itertools.permutations(range(1, n + 1)):
         exc = sum(1 for k, v in enumerate(word, start=1) if v > k)
@@ -593,48 +583,47 @@ def q_polynomial(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Poly:
     return Poly(tuple(Poly(row) for row in counts))
 
 
-def rise_record_polynomial(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Poly:
+def rise_record_polynomial(n: int) -> Poly:
     """Joint generating polynomial of left-to-right maxima (outer variable r)
     and positive rise entries (inner variable t)."""
-    check_budget(n, max_n, "permutation enumeration")
     counts = [[0] * (n + 2) for _ in range(n + 1)]
-    for p in perms.enumerate_class(n, perms.ALL, max_n=max_n):
+    for p in perms.enumerate_class(n):
         m = perms.positive_count(perms.rise_vector(p))
         counts[perms.ltr_maximum_count(p)][m] += 1
     return Poly(tuple(Poly(row) for row in counts))
 
 
-def q_identity_integer_shift(n: int, r: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def q_identity_integer_shift(n: int, r: int) -> Identity:
     """For integer r >= 1 the cycle-weighted polynomial at that value equals
     the shifted Eulerian polynomial of size n + r - 1 over (r-1)!."""
-    q = q_polynomial(n, max_n=max_n)
+    q = q_polynomial(n)
     lhs = eulerian_triangle_recurrence(n + r - 1, r)
     val = q.eval(r)
     rhs = factorial(r - 1) * (val if isinstance(val, Poly) else Poly((val,)))
     return Identity(lhs == rhs, lhs, rhs)
 
 
-def q_identity_reciprocal(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def q_identity_reciprocal(n: int) -> Identity:
     """The rise/record polynomial is the t-reciprocal (to degree n) of the
     cycle/excedance polynomial, as a two-variable identity."""
-    q = q_polynomial(n, max_n=max_n)
+    q = q_polynomial(n)
     rhs = Poly(
         tuple(
             reciprocal_poly(c, n) if isinstance(c, Poly) else reciprocal_poly(Poly((c,)), n)
             for c in q.coeffs
         )
     )
-    lhs = rise_record_polynomial(n, max_n=max_n)
+    lhs = rise_record_polynomial(n)
     return Identity(lhs == rhs, lhs, rhs)
 
 
-def injection_polynomial(n: int, r: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Poly:
+def injection_polynomial(n: int, r: int) -> Poly:
     """Generating polynomial, over injections of {1..n-r} into {1..n}, of the
     entries of the excedance vector that stay positive after r lowerings;
     equals the shifted Eulerian polynomial divided by r!."""
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
-    check_budget(n, max_n, "injection enumeration")
+    check_budget(n, DEFAULT_PERM_BUDGET, "injection enumeration")
     counts = [0] * (n + 1)
     for phi in itertools.permutations(range(1, n + 1), n - r):
         c = 0
@@ -646,12 +635,12 @@ def injection_polynomial(n: int, r: int, *, max_n: int = DEFAULT_PERM_BUDGET) ->
 
 
 @lru_cache(maxsize=1)
-def _transport_families(n: int, max_n: int) -> tuple[tuple[tuple[StatVector, int], ...], ...]:
+def _transport_families(n: int) -> tuple[tuple[tuple[StatVector, int], ...], ...]:
     # the raw vector multisets of check_multiset_transport at size n, as
     # (vector, multiplicity) pairs, so that one sweep per family serves
     # every operator; the plain descent family comes last
     def tally(size: int, tag, stat: Callable[[perms.Permutation], StatVector]):
-        return tuple(Counter(stat(p) for p in perms.enumerate_class(size, tag, max_n=max_n)).items())
+        return tuple(Counter(stat(p) for p in perms.enumerate_class(size, tag)).items())
 
     return (
         tally(n, perms.ALL, perms.excedance_vector),
@@ -663,9 +652,7 @@ def _transport_families(n: int, max_n: int) -> tuple[tuple[tuple[StatVector, int
     )
 
 
-def check_multiset_transport(
-    n: int, n_delta: int, n_prime: int, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Identity:
+def check_multiset_transport(n: int, n_delta: int, n_prime: int) -> Identity:
     """After applying delta^a delta'^b, the excedance, descent-certificate
     and rise statistics over size n, the lowered excedances over circular
     words of size n+1, and the lowered descents over size-(n+1) words
@@ -684,7 +671,7 @@ def check_multiset_transport(
             out[perms.delta_power(StatVector(v[b:]), a)] += mult
         return out
 
-    *families, descents = map(pushed, _transport_families(n, max_n))
+    *families, descents = map(pushed, _transport_families(n))
     if any(fam != families[0] for fam in families[1:]):
         return Identity(False, families[0], families, f"Gamma = d^{a} d'^{b}")
     matches = descents == families[0]
@@ -706,9 +693,7 @@ def check_symmetry(n: int) -> Identity:
     return Identity(ok, a, reciprocal_poly(a, n - 1))
 
 
-def check_reciprocal_descent_interpretation(
-    n: int, r: int, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Identity:
+def check_reciprocal_descent_interpretation(n: int, r: int) -> Identity:
     """The degree-(n-r) reversal of the shifted polynomial is the generating
     polynomial of the descent vector lowered once and cropped r-1 times from
     the end, and also of the excedance vector cropped once from the front
@@ -718,7 +703,7 @@ def check_reciprocal_descent_interpretation(
     lhs = reciprocal_poly(eulerian_triangle_recurrence(n, r), n - r)
     counts_d = [0] * (n + 1)
     counts_e = [0] * (n + 1)
-    for p in perms.enumerate_class(n, max_n=max_n):
+    for p in perms.enumerate_class(n):
         v = perms.delta(perms.descent_vector(p))
         counts_d[perms.positive_count(v[: len(v) - (r - 1)])] += 1
         e = perms.excedance_vector(p)
@@ -742,10 +727,10 @@ def check_divisibility_and_mass(n_max: int) -> Identity:
     return Identity(True, n_max, n_max)
 
 
-def check_mixed_specializations(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def check_mixed_specializations(n: int) -> Identity:
     """The joint fixed-point/excedance polynomial specializes to the 0-shift,
     classical, and derangement polynomials at outer values t, 1, 0."""
-    bar = abar_polynomial(n, max_n=max_n)
+    bar = abar_polynomial(n)
 
     def as_poly(x):
         return x if isinstance(x, Poly) else Poly((x,))
@@ -753,7 +738,7 @@ def check_mixed_specializations(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> 
     ok = (
         as_poly(bar.eval(T)) == eulerian_shift_recurrence(n, 0)
         and as_poly(bar.eval(1)) == eulerian_polynomial(n)
-        and as_poly(bar.eval(0)) == roselle_polynomial(n, max_n=max_n)
+        and as_poly(bar.eval(0)) == roselle_polynomial(n)
     )
     return Identity(ok, bar, n)
 
@@ -763,9 +748,9 @@ def eulerian_at_minus_one(n: int) -> int:
     return as_int(eulerian_polynomial(n).eval(-1))
 
 
-def roselle_at_minus_one(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> int:
+def roselle_at_minus_one(n: int) -> int:
     """Exact value of the derangement-excedance polynomial at t = -1."""
-    return as_int(roselle_polynomial(n, max_n=max_n).eval(-1))
+    return as_int(roselle_polynomial(n).eval(-1))
 
 
 __all__ = [

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import permutations as perms
 from .endofunctions import count_class_functions, trusted_map
-from .permutations import DEFAULT_MAP_SCAN_BUDGET, DEFAULT_PERM_BUDGET, check_budget
+from .permutations import DEFAULT_PERM_BUDGET, check_budget
 from .polynomials import (
     Identity,
     Poly,
@@ -424,37 +424,30 @@ def eulerian_from_egf(n: int, r: int) -> Poly:
 # identity checks
 
 
-def check_mixed_egf_exponential_form(
-    order: int, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Identity:
+def check_mixed_egf_exponential_form(order: int) -> Identity:
     """The joint fixed-point/excedance EGF (by enumeration) equals
     exp(u t' + sum_{n>=2} u^n/n! t A_{n-1}(t))."""
-    upto = min(order, max_n)
-    lhs = series_from_polynomials(lambda n: abar_polynomial(n), upto)
+    check_budget(order, DEFAULT_PERM_BUDGET, "permutation enumeration")
+    lhs = series_from_polynomials(abar_polynomial, order)
     arg = [Poly(), Poly((0, 1))]
     arg.extend(
         Poly((T * eulerian_polynomial(n - 1),)) * Fraction(1, factorial(n))
-        for n in range(2, upto + 1)
+        for n in range(2, order + 1)
     )
-    rhs = TruncSeries(upto, arg).exp()
+    rhs = TruncSeries(order, arg).exp()
     return series_identity(lhs, rhs)
 
 
-def check_mixed_egf_closed_form(
-    order: int, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> list[tuple[str, Identity]]:
+def check_mixed_egf_closed_form(order: int) -> list[tuple[str, Identity]]:
     """The bivariate closed form against the enumeration EGF, and its three
     specializations against the 0-shift, classical, and derangement
     polynomial families."""
+    check_budget(order, DEFAULT_PERM_BUDGET, "permutation enumeration")
     closed = mixed_egf_closed_form(order)
-    upto = min(order, max_n)
     out = [
         (
             "mixed-egf-closed-form",
-            series_identity(
-                series_from_polynomials(lambda n: abar_polynomial(n), upto),
-                closed.truncate(upto),
-            ),
+            series_identity(series_from_polynomials(abar_polynomial, order), closed),
         ),
         (
             "specialize-zero-shift",
@@ -472,10 +465,7 @@ def check_mixed_egf_closed_form(
         ),
         (
             "specialize-derangement",
-            series_identity(
-                closed.substitute(0).truncate(upto),
-                series_from_polynomials(lambda n: roselle_polynomial(n, max_n=max_n), upto),
-            ),
+            series_identity(closed.substitute(0), series_from_polynomials(roselle_polynomial, order)),
         ),
         (
             "closed-form-zero-shift-direct",
@@ -743,49 +733,40 @@ def exponential_formula_bundle(
 
 
 def check_exponential_formula(
-    factor_weight: Callable[[Sequence[int]], object],
-    order: int,
-    *,
-    max_n: int = DEFAULT_PERM_BUDGET,
+    factor_weight: Callable[[Sequence[int]], object], order: int
 ) -> tuple[Identity, Identity]:
     """Single-weight form of :func:`exponential_formula_bundle`."""
-    return exponential_formula_bundle({"weight": factor_weight}, order, max_n=max_n)["weight"]
+    return exponential_formula_bundle({"weight": factor_weight}, order)["weight"]
 
 
-def check_cycle_weighted_power(
-    r: int, order: int, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Identity:
+def check_cycle_weighted_power(r: int, order: int) -> Identity:
     """With the fixed-point-split weight boosted by r**cycles (integer r),
     the weighted EGF is the r-th power of the mixed closed form. The boost
     is r on every factor: r**cycles * prod w(g) = prod r * w(g)."""
     (sums,), _signed = weighted_permutation_sums(
-        [lambda g: r * fixed_point_split_weight(tuple(g))], order, max_n=max_n
+        [lambda g: r * fixed_point_split_weight(tuple(g))], order
     )
     lhs = TruncSeries(order, (c * Fraction(1, factorial(n)) for n, c in enumerate(sums)))
     rhs = mixed_egf_closed_form(order) ** r
     return series_identity(lhs, rhs)
 
 
-def check_tree_equation(order: int, *, max_scan: int = DEFAULT_MAP_SCAN_BUDGET) -> Identity:
+def check_tree_equation(order: int) -> Identity:
     """w = exp(u w) for the EGF w of the maps whose n-th iterate equals the
     (n-1)-st, with counts from the exhaustive scan."""
-    w = series_from_polynomials(
-        lambda n: count_class_functions(n, "ultimately_idempotent", max_n=max_scan), order
-    )
+    w = series_from_polynomials(lambda n: count_class_functions(n, "ultimately_idempotent"), order)
     return series_identity(w, w.shift_up().exp())
 
 
 # -- permanents and determinants ---------------------------------------------
 
 
-def check_permanent_determinant(
-    a, b, c, order: int, *, max_size: int = 9
-) -> list[tuple[str, Identity]]:
+def check_permanent_determinant(a, b, c, order: int) -> list[tuple[str, Identity]]:
     """For a banded matrix: the reciprocal of the permanent EGF is the signed
     determinant EGF; the determinant has its two-case closed form; and the
     reciprocal matches the two-case exponential closed form."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    pers = [1] + [permanent(SquareMatrix.banded(n, a, b, c), max_n=max_size) for n in range(1, order + 1)]
+    pers = [1] + [permanent(SquareMatrix.banded(n, a, b, c), max_n=order) for n in range(1, order + 1)]
     dets = [1] + [determinant(SquareMatrix.banded(n, a, b, c)) for n in range(1, order + 1)]
     per_egf = TruncSeries(order, (v * Fraction(1, factorial(n)) for n, v in enumerate(pers)))
     det_egf = TruncSeries(
@@ -843,14 +824,14 @@ def check_staircase_examples(order: int) -> list[tuple[str, Identity]]:
     return out
 
 
-def check_mixed_permanent(n_max: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def check_mixed_permanent(n_max: int) -> Identity:
     """The permanent of the banded matrix with symbolic bands (t above, t' on
     the diagonal, 1 below) is the joint fixed-point/excedance polynomial."""
     above = Poly((T,))
     diag = Poly((0, 1))
     for n in range(1, n_max + 1):
         per = permanent(SquareMatrix.banded(n, above, diag, 1))
-        target = abar_polynomial(n, max_n=max_n)
+        target = abar_polynomial(n)
         if not per == target:
             return Identity(False, per, target, f"fails at size {n}")
     return Identity(True, n_max, n_max, "permanents match the joint polynomials")

@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import Mapping
 
 from . import permutations as perms
-from .permutations import DEFAULT_PERM_BUDGET, Permutation
+from .permutations import Permutation
 from .polynomials import (
     Identity,
     Poly,
@@ -106,21 +106,21 @@ def nabla(weighted: Mapping[Word, int]) -> Counter:
     return out
 
 
-def word_multiset(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Counter:
+def word_multiset(n: int) -> Counter:
     """Weighted set of the valley words of all size-n permutations starting
     with n."""
     out: Counter = Counter()
-    for p in perms.enumerate_class(n, perms.FIRST_IS_N, max_n=max_n):
+    for p in perms.enumerate_class(n, perms.FIRST_IS_N):
         out[valley_word(p)] += 1
     return out
 
 
-def check_derivation_step(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def check_derivation_step(n: int) -> Identity:
     """The size-n weighted word set is the derivation of the size-(n-1) one."""
     if n < 3:
         raise ValueError("the derivation step needs n >= 3")
-    lhs = word_multiset(n, max_n=max_n)
-    rhs = nabla(word_multiset(n - 1, max_n=max_n))
+    lhs = word_multiset(n)
+    rhs = nabla(word_multiset(n - 1))
     if lhs == rhs:
         return Identity(True, len(lhs), len(rhs))
     diff = next(w for w in (lhs | rhs) if lhs[w] != rhs[w])
@@ -133,7 +133,7 @@ def check_derivation_step(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identi
 # the positive triangle from abelianized words
 
 
-def c_triangle(n: int, mode: str = "recurrence", *, max_n: int = DEFAULT_PERM_BUDGET) -> dict:
+def c_triangle(n: int, mode: str = "recurrence") -> dict:
     """Triangle c[m, k] for 2 <= m <= n, 1 <= 2k <= m.
 
     mode 'recurrence': c[2, 1] = 1 and
@@ -158,7 +158,7 @@ def c_triangle(n: int, mode: str = "recurrence", *, max_n: int = DEFAULT_PERM_BU
     tri = {}
     for m in range(2, n + 1):
         groups: Counter = Counter()
-        for word, mult in word_multiset(m, max_n=max_n).items():
+        for word, mult in word_multiset(m).items():
             marked_d = sum(1 for x in word if x is Letter.MARKED_DESCENT)
             marked_m = sum(1 for x in word if x is Letter.MARKED_RISE)
             plain_d = sum(1 for x in word if x is Letter.DESCENT)
@@ -191,9 +191,7 @@ def check_valley_expansion(n: int) -> Identity:
 # alternating-permutation counts by three routes
 
 
-def euler_numbers(
-    limit: int, mode: str = "c_triangle", *, max_n: int = DEFAULT_PERM_BUDGET
-) -> tuple[int, ...]:
+def euler_numbers(limit: int, mode: str = "c_triangle") -> tuple[int, ...]:
     """Counts of alternating (down-up) permutations for sizes 1..limit.
 
     mode 'enumeration' sweeps the alternating class (budgeted). mode
@@ -204,7 +202,7 @@ def euler_numbers(
     """
     if mode == "enumeration":
         return tuple(
-            perms.class_size(n, perms.ALTERNATING, max_n=max_n) for n in range(1, limit + 1)
+            perms.class_size(n, perms.ALTERNATING) for n in range(1, limit + 1)
         )
     if mode == "c_triangle":
         tri = c_triangle(limit + 1) if limit >= 1 else {}
@@ -236,43 +234,43 @@ def euler_numbers(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_tangent_alternating_sum(p: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def check_tangent_alternating_sum(p: int) -> Identity:
     """The classical polynomial vanishes at -1 in even size, and at odd size
     2p-1 its absolute value there counts the alternating permutations."""
     even_zero = eulerian_at_minus_one(2 * p) == 0
     lhs = (-1) ** (p - 1) * eulerian_at_minus_one(2 * p - 1)
-    rhs = perms.class_size(2 * p - 1, perms.ALTERNATING, max_n=max_n)
+    rhs = perms.class_size(2 * p - 1, perms.ALTERNATING)
     return Identity(even_zero and lhs == rhs, lhs, rhs, "even value zero" if even_zero else "even value nonzero")
 
 
-def check_secant_alternating_sum(p: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def check_secant_alternating_sum(p: int) -> Identity:
     """Derangement-polynomial values at -1: zero in odd size, and in size 2p
     the signed value counts the alternating permutations; the biexcedent
     class has that same size, and its circular members are counted by the
     alternating permutations of size 2p - 1."""
     n = 2 * p
-    odd_zero = roselle_at_minus_one(n - 1, max_n=max_n) == 0
-    lhs = (-1) ** p * roselle_at_minus_one(n, max_n=max_n)
+    odd_zero = roselle_at_minus_one(n - 1) == 0
+    lhs = (-1) ** p * roselle_at_minus_one(n)
     t_even = t_first = 0
-    for q in perms.enumerate_class(n, perms.ALTERNATING, max_n=max_n):
+    for q in perms.enumerate_class(n, perms.ALTERNATING):
         t_even += 1
         t_first += q[0] == n
     bi = bi_circ = 0
-    for q in perms.enumerate_class(n, perms.BIEXCEDENT, max_n=max_n):
+    for q in perms.enumerate_class(n, perms.BIEXCEDENT):
         bi += 1
         bi_circ += perms.cycle_count(q) == 1
-    t_odd = perms.class_size(n - 1, perms.ALTERNATING, max_n=max_n)
+    t_odd = perms.class_size(n - 1, perms.ALTERNATING)
     ok = odd_zero and lhs == t_even and bi == t_even and bi_circ == t_first == t_odd
     return Identity(ok, (lhs, bi, bi_circ), (t_even, t_even, t_odd))
 
 
-def check_reversal_bridge(n: int, *, max_n: int = DEFAULT_PERM_BUDGET) -> Identity:
+def check_reversal_bridge(n: int) -> Identity:
     """Complement a size-(n-1) word into {1..n-1} and prepend n: descent
     letters of the valley word then count one more than the ascents of the
     source, and marked pairs one more than its valleys."""
     if n < 2:
         raise ValueError("needs n >= 2")
-    for q in perms.enumerate_class(n - 1, perms.ALL, max_n=max_n):
+    for q in perms.enumerate_class(n - 1, perms.ALL):
         image = perms.trusted_perm((n,) + tuple(n - v for v in q))
         word = valley_word(image)
         d_letters = sum(1 for x in word if x in (Letter.DESCENT, Letter.MARKED_DESCENT))
