@@ -459,6 +459,8 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    if args.r is not None and args.map != "rotate":
+        raise ValueError(f"--r applies to the rotate map only, not {args.map}")
     p = parse_permutation(args.word)
     if args.map == "rotate":
         image = tr.word_rotate(p, args.r if args.r is not None else 1)
@@ -499,16 +501,19 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.t is not None and args.which in ("tan", "sec"):
+        raise ValueError(f"--t applies to the EGF series only, not {args.which}")
     order = args.order
+    t = -1 if args.t is None else args.t
     if args.which == "tan":
         s = ser.tangent_secant_series(order)[0]
     elif args.which == "sec":
         s = ser.tangent_secant_series(order)[1]
     elif args.which == "classical-egf":
-        s = ser.classical_egf_closed_form(order, at=Fraction(args.t))
+        s = ser.classical_egf_closed_form(order, at=t)
     else:  # derangement-egf
-        s = ser.roselle_egf_closed_form(order, at=Fraction(args.t))
-    coeffs = [str(Fraction(c)) for c in s.coeffs]
+        s = ser.roselle_egf_closed_form(order, at=t)
+    coeffs = [str(s.coefficient(k)) for k in range(order + 1)]
     if args.format == "json":
         print(json.dumps({"order": order, "coeffs": coeffs}, sort_keys=True))
     elif args.format == "csv":
@@ -580,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("series", help="print truncated series coefficients")
     q.add_argument("which", choices=("tan", "sec", "classical-egf", "derangement-egf"))
     q.add_argument("--order", type=int, default=10)
-    q.add_argument("--t", type=int, default=-1, help="evaluation point for the EGFs")
+    q.add_argument("--t", type=int, default=None, help="evaluation point for the EGFs (default -1)")
     q.add_argument("--format", choices=("text", "csv", "json"), default="text")
     q.set_defaults(fn=_cmd_series)
 

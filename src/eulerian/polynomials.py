@@ -4,12 +4,13 @@ the shifted Eulerian polynomials by several independent routes, Stirling
 numbers, Worpitzky-type summations, the Newcomb specialization, and the fixed
 evaluation points used by the alternating-sum results.
 
-Polynomials are dense ascending coefficient lists over exact arithmetic
-(ints and Fractions). A two-variable polynomial is a Poly whose coefficients
-are themselves Poly values; by convention the main variable t sits innermost
-and the auxiliary variable (t' or r) outermost. Bivariate values are only
-ever constructed through that convention, and generic arithmetic preserves
-it.
+Polynomials are dense ascending coefficient lists over exact arithmetic.
+Every family here has integer coefficients, and no ring operation divides,
+so coefficients stay ints unless a caller brings in a Fraction. A
+two-variable polynomial is a Poly whose coefficients are themselves Poly
+values; by convention the main variable t sits innermost and the auxiliary
+variable (t' or r) outermost. Bivariate values are only ever constructed
+through that convention, and generic arithmetic preserves it.
 """
 from __future__ import annotations
 
@@ -140,27 +141,6 @@ class Poly:
         if any(self.coeffs[:k]):
             raise ArithmeticError(f"{self!r} is not divisible by the variable")
         return Poly(self.coeffs[k:])
-
-    def exact_div(self, d: "Poly") -> "Poly":
-        """Exact division by a polynomial with scalar leading coefficient;
-        raises ArithmeticError on a nonzero remainder."""
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lead = d.coeffs[-1]
-        if isinstance(lead, Poly):
-            raise TypeError("divisor must have a scalar leading coefficient")
-        inv = Fraction(1, 1) / Fraction(lead)
-        rem = list(self.coeffs)
-        out = [0] * max(0, len(rem) - len(d.coeffs) + 1)
-        for i in range(len(rem) - len(d.coeffs), -1, -1):
-            q = rem[i + len(d.coeffs) - 1] * inv
-            out[i] = q
-            if q:
-                for j, c in enumerate(d.coeffs):
-                    rem[i + j] = rem[i + j] - q * c
-        if any(rem):
-            raise ArithmeticError(f"nonzero remainder dividing {self!r} by {d!r}")
-        return Poly(out)
 
 
 #: the polynomial variable (t at the base level)

@@ -1,19 +1,22 @@
 """
-Truncated power series in u over exact coefficients, the permanent and
-determinant of small matrices over the same coefficient rings, and the
-series-level identity checks: closed forms of the excedance generating
-functions, the exponential formula for multiplicative weights, the
+Truncated exponential generating series in u over exact coefficients, the
+permanent and determinant of small matrices over the same coefficient rings,
+and the series-level identity checks: closed forms of the excedance
+generating functions, the exponential formula for multiplicative weights, the
 permanent/determinant inversion, and the tangent/secant expansions.
 
-Coefficients of a series are Fractions or Poly values (possibly nested, with
-the inner variable t and an outer auxiliary variable). Arithmetic never
-consults indices beyond the truncation order.
+A series stores its EGF values a_n = n! [u^n]. Every series of the paper has
+integer or integer-polynomial EGF values (possibly nested, with the inner
+variable t and an outer auxiliary variable), and on EGF values the product
+is a binomial convolution, so no operation divides. `coefficient(k)` gives
+the ordinary coefficient [u^k]. Arithmetic never consults indices beyond the
+truncation order.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,11 +34,21 @@ from .polynomials import (
     roselle_polynomial,
 )
 
-_ZERO = Fraction(0)
+
+def _binomial_sum(n: int, xs: Sequence, ys: Sequence, start: int = 0):
+    """sum over start <= i <= n of C(n, i) xs[i] ys[n - i], skipping zero
+    factors: the n-th EGF value of a product when start is 0."""
+    acc = 0
+    for i in range(start, n + 1):
+        x, y = xs[i], ys[n - i]
+        if x and y:
+            acc = acc + comb(n, i) * x * y
+    return acc
 
 
 class TruncSeries:
-    """Power series truncated at a fixed order N: coefficients c0..cN."""
+    """Exponential generating series truncated at a fixed order N, stored as
+    its EGF values a_0..a_N, where a_n = n! [u^n]."""
 
     __slots__ = ("order", "coeffs")
 
@@ -43,7 +56,7 @@ class TruncSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
         cs = list(coeffs)[: order + 1]
-        cs.extend([_ZERO] * (order + 1 - len(cs)))
+        cs.extend([0] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -52,7 +65,8 @@ class TruncSeries:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def coefficient(self, k: int):
-        return self.coeffs[k]
+        """The ordinary coefficient [u^k]."""
+        return self.coeffs[k] * Fraction(1, factorial(k))
 
     # -- ring operations, all truncated to the common order ------------------
 
@@ -79,16 +93,8 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return TruncSeries(self.order, (c * other for c in self.coeffs))
         self._check(other)
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(self.order, (_binomial_sum(n, a, b) for n in range(self.order + 1)))
 
     __rmul__ = __mul__
 
@@ -124,65 +130,55 @@ class TruncSeries:
 
     def shift_up(self) -> "TruncSeries":
         """Multiply by u, keeping the order."""
-        return TruncSeries(self.order, (_ZERO,) + self.coeffs[: self.order])
+        a = self.coeffs
+        return TruncSeries(self.order, [0] + [n * a[n - 1] for n in range(1, self.order + 1)])
 
     def derivative(self) -> "TruncSeries":
         """Term-by-term derivative; the order falls by one."""
         if self.order == 0:
             raise ValueError("derivative needs order >= 1: at order 0 no coefficient is known")
-        return TruncSeries(
-            self.order - 1, (k * self.coeffs[k] for k in range(1, self.order + 1))
-        )
+        return TruncSeries(self.order - 1, self.coeffs[1:])
 
     def integral(self) -> "TruncSeries":
         """Antiderivative with zero constant term; the order grows by one."""
-        out = [_ZERO]
-        out.extend(c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs))
-        return TruncSeries(self.order + 1, out)
+        return TruncSeries(self.order + 1, (0,) + self.coeffs)
 
     def reciprocal(self) -> "TruncSeries":
-        if not self.coeffs[0] == 1:
-            raise ValueError(f"reciprocal needs unit constant term, got {self.coeffs[0]!r}")
-        n = self.order
-        out = [Fraction(1)] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                a = self.coeffs[k]
-                if a:
-                    acc = acc + a * out[m - k]
-            out[m] = -acc
-        return TruncSeries(n, out)
+        a = self.coeffs
+        if not a[0] == 1:
+            raise ValueError(f"reciprocal needs unit constant term, got {a[0]!r}")
+        out = [1]
+        for n in range(1, self.order + 1):
+            out.append(-_binomial_sum(n, a, out, 1))
+        return TruncSeries(self.order, out)
 
     def exp(self) -> "TruncSeries":
-        if self.coeffs[0]:
-            raise ValueError(f"exp needs zero constant term, got {self.coeffs[0]!r}")
-        n = self.order
-        out = [Fraction(1)] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                a = self.coeffs[k]
-                if a:
-                    acc = acc + (k * a) * out[m - k]
-            out[m] = acc * Fraction(1, m)
-        return TruncSeries(n, out)
+        a = self.coeffs
+        if a[0]:
+            raise ValueError(f"exp needs zero constant term, got {a[0]!r}")
+        # B' = A' B, read at u^(n-1)
+        slope = a[1:]
+        out = [1]
+        for n in range(1, self.order + 1):
+            out.append(_binomial_sum(n - 1, slope, out))
+        return TruncSeries(self.order, out)
 
     def log(self) -> "TruncSeries":
-        if not self.coeffs[0] == 1:
-            raise ValueError(f"log needs unit constant term, got {self.coeffs[0]!r}")
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m):
-                a = self.coeffs[m - k]
-                if a and out[k]:
-                    acc = acc + (k * out[k]) * a
-            out[m] = self.coeffs[m] - acc * Fraction(1, m)
-        return TruncSeries(n, out)
+        a = self.coeffs
+        if not a[0] == 1:
+            raise ValueError(f"log needs unit constant term, got {a[0]!r}")
+        # A' = L' A, read at u^(n-1), with the a_0 = 1 term solved for l_n
+        out = [0]
+        slope: list = []
+        for n in range(1, self.order + 1):
+            value = a[n] - _binomial_sum(n - 1, a, slope, 1)
+            out.append(value)
+            slope.append(value)
+        return TruncSeries(self.order, out)
 
     def map_coefficients(self, fn: Callable) -> "TruncSeries":
+        """Apply fn to every EGF value; meant for maps that are additive and
+        commute with integer scaling, such as evaluation or exact division."""
         return TruncSeries(self.order, (fn(c) for c in self.coeffs))
 
     def substitute(self, value) -> "TruncSeries":
@@ -196,20 +192,16 @@ def constant_series(value, order: int) -> TruncSeries:
 
 
 def exp_of_linear(c, order: int) -> TruncSeries:
-    """exp(c * u): coefficient of u^n is c**n / n!."""
-    coeffs = []
-    cur = Poly((1,)) if isinstance(c, Poly) else Fraction(1)
-    for n in range(order + 1):
-        coeffs.append(cur * Fraction(1, factorial(n)))
-        cur = cur * c
+    """exp(c * u): its n-th EGF value is c**n."""
+    coeffs = [1]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * c)
     return TruncSeries(order, coeffs)
 
 
 def series_from_polynomials(family: Callable[[int], object], order: int) -> TruncSeries:
-    """Exponential generating series: coefficient of u^n is family(n) / n!."""
-    return TruncSeries(
-        order, (family(n) * Fraction(1, factorial(n)) for n in range(order + 1))
-    )
+    """Exponential generating series whose n-th EGF value is family(n)."""
+    return TruncSeries(order, (family(n) for n in range(order + 1)))
 
 
 def series_identity(lhs: TruncSeries, rhs: TruncSeries, note: str = "") -> Identity:
@@ -342,18 +334,20 @@ def determinant(mat: SquareMatrix):
 # module: inner variable t, outer variable t'.
 
 
-def _nested_exact_div(c, d: Poly):
-    """Divide a (possibly nested) coefficient by a base-level polynomial."""
-    if not c:
-        return Poly()
-    if isinstance(c, Poly):
-        if any(isinstance(x, Poly) for x in c.coeffs):
-            return Poly(tuple(_nested_exact_div(x, d) for x in c.coeffs))
-        return c.exact_div(d)
-    raise ArithmeticError(f"scalar {c!r} is not divisible by {d!r}")
-
-
-_ONE_MINUS_T = Poly((1, -1))
+def _over_one_minus_t_exact(c):
+    """Divide a (possibly nested) coefficient by 1 - t exactly: the quotient's
+    t-coefficients are the prefix sums of the dividend's, and a nonzero total
+    is the remainder."""
+    if not isinstance(c, Poly):
+        if c:
+            raise ArithmeticError(f"scalar {c!r} is not divisible by 1 - t")
+        return 0
+    if any(isinstance(x, Poly) for x in c.coeffs):
+        return Poly(tuple(_over_one_minus_t_exact(x) for x in c.coeffs))
+    sums = list(itertools.accumulate(c.coeffs))
+    if sums and sums[-1]:
+        raise ArithmeticError(f"nonzero remainder dividing {c!r} by 1 - t")
+    return Poly(sums)
 
 
 def _over_one_minus_t(den: TruncSeries, at=None) -> TruncSeries:
@@ -363,7 +357,7 @@ def _over_one_minus_t(den: TruncSeries, at=None) -> TruncSeries:
     so the reciprocal runs over scalars; substitution is a ring homomorphism
     and the unit's constant term stays 1 at every value, so the result is the
     bivariate reciprocal evaluated at t = at."""
-    unit = den.map_coefficients(lambda c: _nested_exact_div(c, _ONE_MINUS_T))
+    unit = den.map_coefficients(_over_one_minus_t_exact)
     if at is not None:
         unit = unit.substitute(at)
     return unit.reciprocal()
@@ -392,7 +386,7 @@ def classical_egf_closed_form(order: int, at=None) -> TruncSeries:
 
 def zero_shift_egf_closed_form(order: int) -> TruncSeries:
     """(1 - t) / (1 - t exp((1 - t)u)), the EGF of the 0-shift polynomials."""
-    den = constant_series(Fraction(1), order) - exp_of_linear(1 - T, order) * T
+    den = constant_series(1, order) - exp_of_linear(1 - T, order) * T
     return _over_one_minus_t(den)
 
 
@@ -400,7 +394,7 @@ def roselle_egf_closed_form(order: int, at=None) -> TruncSeries:
     """(1 - t) / (exp(t u) - t exp(u)), the EGF of the derangement-excedance
     polynomials. With `at`, t = at is substituted before the reciprocal,
     exactly (see :func:`_over_one_minus_t`)."""
-    den = exp_of_linear(T, order) - exp_of_linear(Fraction(1), order) * T
+    den = exp_of_linear(T, order) - exp_of_linear(1, order) * T
     return _over_one_minus_t(den, at)
 
 
@@ -413,11 +407,7 @@ def eulerian_from_egf(n: int, r: int) -> Poly:
     if r > n:
         return Poly((factorial(n),))
     m = n - r + 1
-    powered = classical_egf_closed_form(m) ** r
-    coeff = powered.coefficient(m) * factorial(m) * factorial(r - 1)
-    if not isinstance(coeff, Poly):
-        coeff = Poly((coeff,))
-    return Poly(tuple(Fraction(c) for c in coeff.coeffs))
+    return (classical_egf_closed_form(m) ** r).coeffs[m] * factorial(r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +420,7 @@ def check_mixed_egf_exponential_form(order: int) -> Identity:
     check_budget(order, DEFAULT_PERM_BUDGET, "permutation enumeration")
     lhs = series_from_polynomials(abar_polynomial, order)
     arg = [Poly(), Poly((0, 1))]
-    arg.extend(
-        Poly((T * eulerian_polynomial(n - 1),)) * Fraction(1, factorial(n))
-        for n in range(2, order + 1)
-    )
+    arg.extend(Poly((T * eulerian_polynomial(n - 1),)) for n in range(2, order + 1))
     rhs = TruncSeries(order, arg).exp()
     return series_identity(lhs, rhs)
 
@@ -516,8 +503,6 @@ def check_bernoulli_ode(order: int) -> Identity:
 
 def check_convolution_recurrence(n_max: int) -> Identity:
     """Binomial convolution: A_{n+1} = A_n + t sum_{m<n} C(n,m) A_m A_{n-m}."""
-    from math import comb
-
     fam = [eulerian_polynomial(n) for n in range(n_max + 1)]
     for n in range(n_max):
         rhs = fam[n] + T * sum(
@@ -716,16 +701,9 @@ def exponential_formula_bundle(
                 conn[name][n] = conn[name][n] + fns[i](w)
     out = {}
     for name in names:
-        egf_all = TruncSeries(
-            order, (c * Fraction(1, factorial(n)) for n, c in enumerate(plain[name]))
-        )
-        egf_conn = TruncSeries(
-            order, (c * Fraction(1, factorial(n)) for n, c in enumerate(conn[name]))
-        )
-        egf_signed = TruncSeries(
-            order,
-            (c * Fraction((-1) ** n, factorial(n)) for n, c in enumerate(signed[name])),
-        )
+        egf_all = TruncSeries(order, plain[name])
+        egf_conn = TruncSeries(order, conn[name])
+        egf_signed = TruncSeries(order, ((-1) ** n * c for n, c in enumerate(signed[name])))
         eq_exp = series_identity(egf_all, egf_conn.exp(), "exponential form")
         eq_inv = series_identity(egf_all.reciprocal(), egf_signed, "signed reciprocal")
         out[name] = (eq_exp, eq_inv)
@@ -746,7 +724,7 @@ def check_cycle_weighted_power(r: int, order: int) -> Identity:
     (sums,), _signed = weighted_permutation_sums(
         [lambda g: r * fixed_point_split_weight(tuple(g))], order
     )
-    lhs = TruncSeries(order, (c * Fraction(1, factorial(n)) for n, c in enumerate(sums)))
+    lhs = TruncSeries(order, sums)
     rhs = mixed_egf_closed_form(order) ** r
     return series_identity(lhs, rhs)
 
@@ -768,10 +746,8 @@ def check_permanent_determinant(a, b, c, order: int) -> list[tuple[str, Identity
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     pers = [1] + [permanent(SquareMatrix.banded(n, a, b, c), max_n=order) for n in range(1, order + 1)]
     dets = [1] + [determinant(SquareMatrix.banded(n, a, b, c)) for n in range(1, order + 1)]
-    per_egf = TruncSeries(order, (v * Fraction(1, factorial(n)) for n, v in enumerate(pers)))
-    det_egf = TruncSeries(
-        order, (v * Fraction((-1) ** n, factorial(n)) for n, v in enumerate(dets))
-    )
+    per_egf = TruncSeries(order, pers)
+    det_egf = TruncSeries(order, ((-1) ** n * v for n, v in enumerate(dets)))
     out = [("permanent-determinant-inversion", series_identity(per_egf.reciprocal(), det_egf))]
 
     closed_dets = [1]
@@ -786,11 +762,9 @@ def check_permanent_determinant(a, b, c, order: int) -> list[tuple[str, Identity
     )
 
     if c != a:
-        closed = (exp_of_linear(a - b, order) * c - exp_of_linear(c - b, order) * a) * (
-            Fraction(1) / (c - a)
-        )
+        closed = (exp_of_linear(a - b, order) * c - exp_of_linear(c - b, order) * a) * (1 / (c - a))
     elif a != b:
-        lin = constant_series(Fraction(1), order) - TruncSeries(order, (0, a))
+        lin = constant_series(1, order) - TruncSeries(order, (0, a))
         closed = lin * exp_of_linear(a - b, order)
     else:
         closed = None
@@ -810,9 +784,9 @@ def check_staircase_examples(order: int) -> list[tuple[str, Identity]]:
     dets = [1] + [determinant(SquareMatrix.staircase_inverse(n)) for n in range(1, order + 1)]
     shape_ok = pers == ([1, 1] + [0] * (order - 1))[: order + 1] and dets == [factorial(n) for n in range(order + 1)]
     out.append(("staircase-values", Identity(shape_ok, pers, dets)))
-    per_egf = TruncSeries(order, (v * Fraction(1, factorial(n)) for n, v in enumerate(pers)))
-    det_egf = TruncSeries(order, (v * Fraction((-1) ** n, factorial(n)) for n, v in enumerate(dets)))
-    geo = TruncSeries(order, ((-1) ** n for n in range(order + 1)))
+    per_egf = TruncSeries(order, pers)
+    det_egf = TruncSeries(order, ((-1) ** n * v for n, v in enumerate(dets)))
+    geo = TruncSeries(order, ((-1) ** n * factorial(n) for n in range(order + 1)))
     out.append(("staircase-inversion", series_identity(per_egf.reciprocal(), det_egf)))
     out.append(("staircase-geometric", series_identity(det_egf, geo)))
 
@@ -841,7 +815,7 @@ def check_mixed_permanent(n_max: int) -> Identity:
 
 
 def tangent_secant_series(order: int) -> tuple[TruncSeries, TruncSeries]:
-    """tan u and 1/cos u over exact rationals.
+    """tan u and 1/cos u, whose EGF values are the Euler numbers.
 
     Both come from the closed-form EGFs evaluated at t = -1: the classical
     one contributes the odd part (tangent) and the derangement one the even
@@ -850,20 +824,20 @@ def tangent_secant_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     """
     f = classical_egf_closed_form(order, at=-1)
     g = roselle_egf_closed_form(order, at=-1)
-    tan_coeffs = [_ZERO] * (order + 1)
-    sec_coeffs = [_ZERO] * (order + 1)
+    tan_coeffs = [0] * (order + 1)
+    sec_coeffs = [0] * (order + 1)
     for k in range(order + 1):
         if k % 2 == 1:
             p = (k + 1) // 2
-            tan_coeffs[k] = Fraction((-1) ** (p - 1)) * f.coeffs[k]
+            tan_coeffs[k] = (-1) ** (p - 1) * f.coeffs[k]
             if g.coeffs[k]:
                 raise ArithmeticError(f"odd secant coefficient at u^{k}: {g.coeffs[k]}")
         else:
             p = k // 2
-            sec_coeffs[k] = Fraction((-1) ** p) * g.coeffs[k]
+            sec_coeffs[k] = (-1) ** p * g.coeffs[k]
             if k >= 2 and f.coeffs[k]:
                 raise ArithmeticError(f"even tangent source at u^{k}: {f.coeffs[k]}")
-    sec_coeffs[0] = Fraction(1)
+    sec_coeffs[0] = 1
     return TruncSeries(order, tan_coeffs), TruncSeries(order, sec_coeffs)
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Mapping
 
 from . import permutations as perms
@@ -28,7 +27,6 @@ from .polynomials import (
     Identity,
     Poly,
     T,
-    as_int,
     eulerian_at_minus_one,
     eulerian_polynomial,
     roselle_at_minus_one,
@@ -211,26 +209,13 @@ def euler_numbers(limit: int, mode: str = "c_triangle") -> tuple[int, ...]:
         # exponential of the odd-size EGF, and the even coefficients count
         # the alternating permutations of that size
         arg = TruncSeries(
-            limit,
-            (
-                Fraction(odd[k - 1], factorial(k)) if k >= 2 and k % 2 == 0 else Fraction(0)
-                for k in range(limit + 1)
-            ),
+            limit, (odd[k - 1] if k >= 2 and k % 2 == 0 else 0 for k in range(limit + 1))
         )
         grown = arg.exp()
-        out = []
-        for m in range(1, limit + 1):
-            if m % 2 == 1:
-                out.append(odd[m])
-            else:
-                out.append(as_int(grown.coefficient(m) * factorial(m)))
-        return tuple(out)
+        return tuple(odd[m] if m % 2 == 1 else grown.coeffs[m] for m in range(1, limit + 1))
     if mode == "series":
         tan, sec = tangent_secant_series(limit)
-        return tuple(
-            as_int((tan if m % 2 else sec).coefficient(m) * factorial(m))
-            for m in range(1, limit + 1)
-        )
+        return tuple((tan if m % 2 else sec).coeffs[m] for m in range(1, limit + 1))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -140,6 +140,12 @@ class TestCommands:
                 ["tables", "euler-numbers", "--r", "3"],
                 "error: --r applies to the eulerian table only, not euler-numbers",
             ),
+            (["series", "tan", "--t", "5"], "error: --t applies to the EGF series only, not tan"),
+            (["series", "sec", "--t", "5"], "error: --t applies to the EGF series only, not sec"),
+            (
+                ["map", "fundamental", "--r", "3", "2 1 3"],
+                "error: --r applies to the rotate map only, not fundamental",
+            ),
         ],
     )
     def test_bad_size_or_shift_is_usage_error(self, capsys, argv, message):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses. The package
-re-exports through ``__init__.py``, which is left out."""
+"""No module of the package imports a name it never uses, and no private
+module-level name goes unreferenced. The package re-exports through
+``__init__.py``, which the import check leaves out."""
 import ast
 from pathlib import Path
 
@@ -34,3 +35,49 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     tree = ast.parse("import os\nfrom math import comb, factorial\nprint(factorial(3))\n")
     assert _unused_imports(tree) == ["comb (line 2)", "os (line 1)"]
+
+
+def _own_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_function``, ``_Class`` and ``_CONSTANT`` names that no
+    statement of the package references, apart from their own definition."""
+    defined, referenced = [], set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            own = _own_names(stmt)
+            private = (name for name in sorted(own) if name.startswith("_") and not name.startswith("__"))
+            defined.extend(f"{module}:{name}" for name in private)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in own:
+                    referenced.add(name)
+    return [entry for entry in defined if entry.split(":")[1] not in referenced]
+
+
+def test_no_unreferenced_private_names():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private_names(trees) == []
+
+
+def test_an_unreferenced_private_name_is_reported():
+    source = (
+        "_ONE = 1\n"
+        "def _used(x):\n    return _used(x - 1) if x else _ONE\n"
+        "def _dead(c):\n    return _dead(c)\n"
+        "class _Gone:\n    pass\n"
+        "print(_used(2))\n"
+    )
+    assert _unreferenced_private_names({"m.py": ast.parse(source)}) == ["m.py:_dead", "m.py:_Gone"]

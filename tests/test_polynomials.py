@@ -143,12 +143,6 @@ class TestPoly:
         shifted = p.eval(Poly((1, 1)))
         assert shifted.coeffs == (24, 36, 14, 1)
 
-    def test_exact_division(self):
-        p = Poly((1, -1)) * Poly((2, 5, 1))
-        assert p.exact_div(Poly((1, -1))) == Poly((2, 5, 1))
-        with pytest.raises(ArithmeticError):
-            Poly((1, 1)).exact_div(Poly((1, -1)))
-
     def test_shift_down(self):
         assert Poly((0, 0, 3, 1)).shift_down(2) == Poly((3, 1))
         with pytest.raises(ArithmeticError):

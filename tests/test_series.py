@@ -44,7 +44,9 @@ from eulerian.series import (
     series_identity,
     tangent_secant_series,
     weighted_permutation_sums,
+    zero_shift_egf_closed_form,
 )
+from eulerian.series import _over_one_minus_t_exact
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
@@ -61,7 +63,7 @@ class TestArithmetic:
 
     def test_geometric_reciprocal(self):
         geo = TruncSeries(8, (1, -1)).reciprocal()
-        assert all(c == 1 for c in geo.coeffs)
+        assert all(geo.coefficient(k) == 1 for k in range(9))
 
     def test_derivative_of_integral(self):
         s = TruncSeries(5, (3, 1, 4, 1, 5, 9))
@@ -116,6 +118,154 @@ class TestArithmetic:
         assert series_identity(lifted.exp().substitute(-1), (shifted * Fraction(-1)).exp()).ok
 
 
+# -- the ordinary-coefficient reference ---------------------------------------
+#
+# Lists of ordinary coefficients [u^n], with the divisions that representation
+# needs: an independent route that the EGF-value kernel is compared with
+# through `coefficient(k)`.
+
+
+def ordinary(s: TruncSeries) -> list:
+    return [s.coefficient(k) for k in range(s.order + 1)]
+
+
+def ref_mul(a, b):
+    return [sum((a[i] * b[m - i] for i in range(m + 1)), 0) for m in range(len(a))]
+
+
+def ref_reciprocal(a):
+    out = [Fraction(1)]
+    for m in range(1, len(a)):
+        out.append(-sum((a[k] * out[m - k] for k in range(1, m + 1)), 0))
+    return out
+
+
+def ref_exp(a):
+    out = [Fraction(1)]
+    for m in range(1, len(a)):
+        out.append(sum((k * a[k] * out[m - k] for k in range(1, m + 1)), 0) * Fraction(1, m))
+    return out
+
+
+def ref_log(a):
+    out = [0]
+    for m in range(1, len(a)):
+        acc = sum((k * out[k] * a[m - k] for k in range(1, m)), 0)
+        out.append(a[m] - acc * Fraction(1, m))
+    return out
+
+
+def ref_derivative(a):
+    return [k * a[k] for k in range(1, len(a))]
+
+
+def ref_integral(a):
+    return [0] + [c * Fraction(1, k + 1) for k, c in enumerate(a)]
+
+
+def ref_shift_up(a):
+    return [0] + a[:-1]
+
+
+def ref_exp_of_linear(c, order):
+    return [c**n * Fraction(1, factorial(n)) for n in range(order + 1)]
+
+
+def ref_over_one_minus_t(c):
+    """c / (1 - t) by long division from the top, into nested coefficients."""
+    if not c:
+        return Poly()
+    if any(isinstance(x, Poly) for x in c.coeffs):
+        return Poly(tuple(ref_over_one_minus_t(x) for x in c.coeffs))
+    rem = list(c.coeffs)
+    out = [0] * (len(rem) - 1)
+    for i in range(len(rem) - 2, -1, -1):
+        out[i] = -rem[i + 1]
+        rem[i + 1] = 0
+        rem[i] = rem[i] - out[i]
+    assert not any(rem), c
+    return Poly(out)
+
+
+def ref_closed_form(den):
+    """(1 - t) / den for a denominator with constant term 1 - t."""
+    return ref_reciprocal([ref_over_one_minus_t(c) for c in den])
+
+
+def _minus(xs, ys):
+    return [x - y for x, y in zip(xs, ys)]
+
+
+def _times(xs, c):
+    return [x * c for x in xs]
+
+
+REFERENCE_DENOMINATORS = {
+    classical_egf_closed_form: lambda n: _minus(
+        ref_exp_of_linear(T - 1, n), [T] + [0] * n
+    ),
+    roselle_egf_closed_form: lambda n: _minus(
+        ref_exp_of_linear(T, n), _times(ref_exp_of_linear(1, n), T)
+    ),
+    zero_shift_egf_closed_form: lambda n: _minus(
+        [1] + [0] * n, _times(ref_exp_of_linear(1 - T, n), T)
+    ),
+    mixed_egf_closed_form: lambda n: _minus(
+        ref_exp_of_linear(Poly((T, -1)), n),
+        _times(ref_exp_of_linear(Poly((1, -1)), n), Poly((T,))),
+    ),
+}
+
+COEFFICIENT_KINDS = {
+    "int": st.integers(-4, 4),
+    "Fraction": rationals,
+    "Poly": st.lists(st.integers(-3, 3), max_size=3).map(Poly),
+}
+
+
+class TestAgainstOrdinaryReference:
+    @pytest.mark.parametrize("kind", COEFFICIENT_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel(self, kind, data):
+        order = data.draw(st.integers(0, 8))
+        values = st.lists(COEFFICIENT_KINDS[kind], min_size=order + 1, max_size=order + 1)
+        a = TruncSeries(order, data.draw(values))
+        b = TruncSeries(order, data.draw(values))
+        oa = ordinary(a)
+        assert ordinary(a * b) == ref_mul(oa, ordinary(b))
+        assert ordinary(a.shift_up()) == ref_shift_up(oa)
+        assert ordinary(a.integral()) == ref_integral(oa)
+        if order:
+            assert ordinary(a.derivative()) == ref_derivative(oa)
+        unit = TruncSeries(order, (1,) + a.coeffs[1:])
+        assert ordinary(unit.reciprocal()) == ref_reciprocal(ordinary(unit))
+        assert ordinary(unit.log()) == ref_log(ordinary(unit))
+        nilpotent = TruncSeries(order, (0,) + a.coeffs[1:])
+        assert ordinary(nilpotent.exp()) == ref_exp(ordinary(nilpotent))
+
+    @pytest.mark.parametrize("form", REFERENCE_DENOMINATORS, ids=lambda f: f.__name__)
+    def test_closed_forms(self, form):
+        for order in range(9):
+            assert ordinary(form(order)) == ref_closed_form(REFERENCE_DENOMINATORS[form](order)), order
+
+
+class TestDivisionByOneMinusT:
+    def test_nested_coefficient_divides_exactly(self):
+        quotient = Poly((Poly((2, 5, 1)), 0, Poly((-3, 0, 4))))  # in t', over t
+        assert _over_one_minus_t_exact(quotient * Poly((1 - T,))) == quotient
+
+    def test_nonzero_remainder(self):
+        with pytest.raises(ArithmeticError, match="remainder"):
+            _over_one_minus_t_exact(Poly((1, 1)))
+        with pytest.raises(ArithmeticError, match="remainder"):
+            _over_one_minus_t_exact(Poly((Poly((1, -1)), Poly((2, 1)))))
+
+    def test_nonzero_scalar(self):
+        with pytest.raises(ArithmeticError, match="scalar"):
+            _over_one_minus_t_exact(3)
+
+
 class TestClosedForms:
     def test_classical_coefficients(self):
         cl = classical_egf_closed_form(6)
@@ -127,7 +277,7 @@ class TestClosedForms:
         assert egf.coefficient(2) == Poly((Fraction(1, 2), Fraction(1, 2)))
         assert egf.coefficient(4) == eulerian_polynomial(4) * Fraction(1, 24)
         ordinary = series_from_polynomials(lambda n: factorial(n), 6)
-        assert all(c == 1 for c in ordinary.coeffs)
+        assert all(ordinary.coefficient(k) == 1 for k in range(7))
         ones = series_from_polynomials(lambda n: 1, 6)
         assert ones == TruncSeries(6, (0, 1)).exp()
 
@@ -170,7 +320,7 @@ class TestExponentialFormula:
         eq_exp, eq_inv = check_exponential_formula(lambda w: 1, 5)
         assert eq_exp.ok and eq_inv.ok
         # exp(sum u^n / n) = 1/(1 - u): the plain EGF is the geometric series
-        assert all(c == 1 for c in eq_exp.lhs.coeffs)
+        assert all(eq_exp.lhs.coefficient(k) == 1 for k in range(6))
 
     def test_cycle_indicator_weight(self):
         xs = [Fraction(k) for k in range(1, 7)]
