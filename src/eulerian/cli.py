@@ -32,6 +32,7 @@ class CheckResult:
     params: str
     status: str  # "pass", "fail", or "skip" when a budget ruled the check out
     witness: str = ""
+    elapsed: float = 0.0  # seconds of the point, shared by all its identities
 
     @property
     def ok(self) -> bool:
@@ -43,6 +44,7 @@ class Report:
     suite: str
     results: list[CheckResult] = field(default_factory=list)
     elapsed: float = 0.0
+    points: list[tuple[float, str]] = field(default_factory=list)  # (seconds, "name [params]")
 
     @property
     def ok(self) -> bool:
@@ -306,25 +308,30 @@ def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Re
     budgets = {"max_n": max_n, "order": order, "fn_scan_max": fn_scan_max}
     start = time.perf_counter()
     results = []
+    points = []
     for decl in _registry():
         if suite not in (decl.suite, "all"):
             continue
         prefix = f"{decl.suite}/" if suite == "all" else ""
         for point in decl.points(budgets):
             params = decl.label.format(**point) if decl.label else " ".join(f"{k}={v}" for k, v in point.items())
+            tick = time.perf_counter()
             try:
                 outcome = decl.run(**point)
             except BudgetError as exc:  # out of budget: skipped, with the reason
-                results.append(CheckResult(prefix + decl.name, params, "skip", str(exc)))
-                continue
+                checked = [(decl.name, "skip", str(exc))]
             except Exception as exc:  # a crash fails this check only, with the reason
-                results.append(CheckResult(prefix + decl.name, params, "fail", f"error: {exc}"))
-                continue
-            for ident, res in [(decl.name, outcome)] if isinstance(outcome, Identity) else outcome:
-                witness = "" if res.ok else f"lhs={res.lhs!r} rhs={res.rhs!r} {res.note}".strip()
-                results.append(CheckResult(prefix + ident, params, "pass" if res.ok else "fail", witness))
+                checked = [(decl.name, "fail", f"error: {exc}")]
+            else:
+                checked = []
+                for ident, res in [(decl.name, outcome)] if isinstance(outcome, Identity) else outcome:
+                    witness = "" if res.ok else f"lhs={res.lhs!r} rhs={res.rhs!r} {res.note}".strip()
+                    checked.append((ident, "pass" if res.ok else "fail", witness))
+            took = time.perf_counter() - tick
+            points.append((took, f"{prefix}{decl.name} [{params}]"))
+            results.extend(CheckResult(prefix + ident, params, status, witness, took) for ident, status, witness in checked)
     results.sort(key=lambda r: (r.identity, r.params))
-    return Report(suite, results, time.perf_counter() - start)
+    return Report(suite, results, time.perf_counter() - start, points)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +447,12 @@ def _cmd_stat(args) -> int:
     for name in names:
         if name not in _STATS:
             raise ValueError(f"unknown statistic {name!r} (choose from {', '.join(_STATS)})")
-        value = _STATS[name](p)
+        try:
+            value = _STATS[name](p)
+        except ValueError as exc:  # the delta statistics drop a letter
+            if p:
+                raise
+            raise ValueError(f"statistic {name} is undefined on the empty word") from exc
         records.append((name, value))
     if args.format == "json":
         print(json.dumps({
@@ -534,7 +546,7 @@ def _cmd_verify(args) -> int:
             "suite": report.suite,
             "elapsed": round(report.elapsed, 3),
             "ok": report.ok,
-            "results": [{**asdict(r), "ok": r.ok} for r in report.results],
+            "results": [{**asdict(r), "elapsed": round(r.elapsed, 3), "ok": r.ok} for r in report.results],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -546,6 +558,10 @@ def _cmd_verify(args) -> int:
         counts = Counter(r.status for r in report.results)
         skipped = f", {counts['skip']} skipped" if counts["skip"] else ""
         print(f"{report.suite}: {counts['pass']}/{len(report.results)} passed{skipped} in {report.elapsed:.1f}s")
+        if report.points:
+            print("slowest points:")
+            for took, point in sorted(report.points, key=itemgetter(0), reverse=True)[:5]:
+                print(f"  {took:.2f}s {point}")
     return 0 if report.ok else 1
 
 

@@ -517,14 +517,15 @@ def check_convolution_recurrence(n_max: int) -> Identity:
 
 
 def _circular_words(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (1,)
-        return
+    """The n-cycles (n, a_1, ..., a_{n-1}) as image words, in lexicographic
+    order of the a_i."""
     for arr in itertools.permutations(range(1, n)):
-        cyc = (n,) + arr
         word = [0] * n
-        for i in range(n):
-            word[cyc[i] - 1] = cyc[(i + 1) % n]
+        point = n
+        for v in arr:
+            word[point - 1] = v
+            point = v
+        word[point - 1] = n
         yield tuple(word)
 
 
@@ -564,50 +565,45 @@ def fixed_point_split_weight(word: tuple) -> Poly:
     return Poly((T**exc,))
 
 
-# Cycles of at most this many points keep their weights and their one-point
-# extensions in the sweep's memo: 874 cycles. Keeping the next size too
-# would hold 5914, and every size of an order-10 sweep 46234, at a cost in
-# resident memory that the saved weight calls do not repay.
-_FACTOR_MEMO_MAX = 7
+def _cycle_table(fns: Sequence[Callable], order: int, top: list) -> list[list[list]]:
+    """Each weight of every cycle of size below the order, as tables[i][m]:
+    weight i of the cycles of size m, one flat list indexed by code. The
+    weights of the cycles of size `order` are added to `top` instead.
+
+    A cycle is relabelled onto {1..m} and read as the rank sequence of its
+    points from rank 1. The cycle (1) has code 0, and inserting the new
+    largest rank m + 1 after the j-th rank (j = 0..m-1) of the cycle of
+    size m with code x gives the cycle of size m + 1 with code x*m + j, so
+    the children of a cycle fill one slice of the next size's list. Each
+    weight is called once on each cycle's map."""
+    tables = [[[] for _ in range(order)] for _ in fns]
+
+    def grow(image: list[int]) -> None:
+        m = len(image)
+        factor = trusted_map(image)
+        if m == order:
+            for i, fn in enumerate(fns):
+                top[i] += fn(factor)
+            return
+        for table, fn in zip(tables, fns):
+            table[m].append(fn(factor))
+        point = 1
+        for _ in range(m):
+            # m + 1 goes between `point` and its image
+            child = image.copy()
+            child[point - 1] = m + 1
+            child.append(image[point - 1])
+            grow(child)
+            point = image[point - 1]
+
+    grow([1])
+    return tables
 
 
-def _factor_from_ranks(ranks: tuple[int, ...]):
-    """The connected factor whose one cycle visits the ranks in the given
-    order, as the image word of a map on {1..len(ranks)}."""
-    image = [0] * len(ranks)
-    prev = ranks[-1]
-    for rank in ranks:
-        image[prev - 1] = rank
-        prev = rank
-    return trusted_map(image)
-
-
-class _Factor:
-    """A cycle as the rank sequence of its points, read from rank 1, with its
-    weights. `grown` gives the cycles made by inserting the new largest rank
-    after each position, with their weights gathered per weight; it is kept
-    only while those cycles are small enough for the memo."""
-
-    __slots__ = ("ranks", "weights", "_grown")
-
-    def __init__(self, ranks: tuple[int, ...], fns: Sequence[Callable]):
-        self.ranks = ranks
-        factor = _factor_from_ranks(ranks)
-        self.weights = tuple([fn(factor) for fn in fns])
-        self._grown = None
-
-    def grown(self, fns: Sequence[Callable]) -> tuple[list["_Factor"], tuple[tuple, ...]]:
-        if self._grown is not None:
-            return self._grown
-        ranks = self.ranks
-        top = (len(ranks) + 1,)
-        children = [
-            _Factor(ranks[:j] + top + ranks[j:], fns) for j in range(1, len(ranks) + 1)
-        ]
-        out = (children, tuple(zip(*(child.weights for child in children))))
-        if len(ranks) < _FACTOR_MEMO_MAX:
-            self._grown = out
-        return out
+def _pairs(scale, first: Sequence, second: Sequence):
+    """scale * a * b summed over a in `first` and b in `second`, one product
+    per pair."""
+    return sum(itertools.starmap(mul, itertools.product(map(mul, itertools.repeat(scale), first), second)))
 
 
 def weighted_permutation_sums(
@@ -621,55 +617,84 @@ def weighted_permutation_sums(
     its connected factors, each relabelled onto {1..card}, and the sign is
     (-1)**(n - cycles).
 
-    One depth-first sweep visits every permutation once. A permutation of
-    [n] comes from one of [n-1] by making n a fixed point or by inserting n
-    after some point of one of its cycles. On the rank sequence of that
-    cycle n is the new largest rank and every other rank stays, so each step
-    changes one factor, whose weights come from a memo of rank sequences.
-    The value of a permutation is the product of its factors' weights.
+    A permutation of [n] comes from one of [n-1] by making n a fixed point
+    or by inserting n after some point of one of its cycles; on the rank
+    sequence of that cycle n is the new largest rank. So every cycle has a
+    code in :func:`_cycle_table`, which calls each weight once per cycle,
+    and a permutation is a list of (size, code) factors whose weights are
+    looked up there. The cycles of size `order` are whole permutations and
+    go straight into the sums.
+
+    One depth-first sweep by insertion reaches every permutation of
+    [order - 2]. Each such node adds its descendants of sizes order - 1
+    and order in bulk, over the table slices that hold the children and
+    grandchildren of its cycles: the new points n + 1 and n + 2 are fixed,
+    or in one 2-cycle, or one is fixed and the other inserted into a cycle,
+    or both go into the same cycle, or into two different ones. Every
+    permutation gets its own product of factor weights, and no weight is
+    summed before it is multiplied.
     """
     check_budget(order, max_n, "permutation enumeration")
     count = len(fns)
     if order == 0:
         return [[1] for _ in fns], [[1] for _ in fns]
-    loop = _Factor((1,), fns)
-    unit = (1,) * count
     # by_parity[n][p][i]: weight i summed over the permutations of [n] with
     # n - cycles = p mod 2
     by_parity = [([0] * count, [0] * count) for _ in range(order + 1)]
+    tables = _cycle_table(fns, order, by_parity[order][(order - 1) % 2])
 
-    def visit(n: int, factors: list) -> None:
-        # `factors` is a permutation of [n - 1]; add every permutation of [n]
-        # grown from it, then descend from each unless n is the order
+    def visit(n: int, factors: list[tuple[int, int]]) -> None:
+        # `factors` is a permutation of [n] as (size, code) pairs
         k = len(factors)
-        before = [unit]
-        for f in factors:
-            before.append(tuple(map(mul, before[-1], f.weights)))
-        fixed = by_parity[n][(n - k - 1) % 2]
-        for i, value in enumerate(map(mul, before[k], loop.weights)):
-            fixed[i] += value
-        inserted = by_parity[n][(n - k) % 2]
-        leaf = n == order
-        after = unit
-        for c in range(k - 1, -1, -1):
-            others = tuple(map(mul, before[c], after))
-            children, columns = factors[c].grown(fns)
-            if leaf:
-                # each grown permutation's own product: the other factors'
-                # weights times the weight of its new factor
-                for i in range(count):
-                    repeated = itertools.repeat(others[i], len(children))
-                    inserted[i] += sum(map(mul, repeated, columns[i]))
-            else:
-                for child in children:
-                    for i, value in enumerate(map(mul, others, child.weights)):
-                        inserted[i] += value
-                    visit(n + 1, factors[:c] + [child] + factors[c + 1 :])
-            after = tuple(map(mul, after, factors[c].weights))
-        if not leaf:
-            visit(n + 1, factors + [loop])
+        bulk = n == order - 2
+        for i, table in enumerate(tables):
+            loop = table[1][0]
+            weights = [table[m][x] for m, x in factors]
+            kids = [table[m + 1][x * m : (x + 1) * m] for m, x in factors]
+            before = [1]
+            for w in weights:
+                before.append(before[-1] * w)
+            after = [1] * (k + 1)
+            for c in range(k - 1, -1, -1):
+                after[c] = weights[c] * after[c + 1]
+            others = [before[c] * after[c + 1] for c in range(k)]
+            # size n + 1: n + 1 fixed, or inserted into cycle c
+            by_parity[n + 1][(n - k) % 2][i] += before[k] * loop
+            by_parity[n + 1][(n + 1 - k) % 2][i] += sum(
+                sum(map(mul, itertools.repeat(others[c]), kids[c])) for c in range(k)
+            )
+            if not bulk:
+                continue
+            # size n + 2, by where n + 1 and n + 2 go: `one_more` sums the
+            # permutations with one cycle more than `factors`, `even_more`
+            # those with as many or two more
+            even_more = before[k] * loop * loop
+            one_more = before[k] * table[2][0] if k else 0
+            for c, (m, x) in enumerate(factors):
+                # one of them fixed and the other inserted into cycle c: each
+                # child of c twice
+                one_more += sum(map(mul, itertools.repeat(others[c] * loop), kids[c] * 2))
+                if m < n:
+                    # both inserted into cycle c (when c is all of [n], these
+                    # are the cycles of the full order, summed by the table)
+                    grandkids = table[m + 2][x * m * (m + 1) : (x + 1) * m * (m + 1)]
+                    even_more += sum(map(mul, itertools.repeat(others[c]), grandkids))
+                rest = before[c]
+                for d in range(c + 1, k):
+                    # one inserted into cycle c and the other into cycle d
+                    scale = rest * after[d + 1]
+                    even_more += _pairs(scale, kids[c], kids[d]) + _pairs(scale, kids[d], kids[c])
+                    rest = rest * weights[d]
+            by_parity[n + 2][(n - k) % 2][i] += even_more
+            by_parity[n + 2][(n + 1 - k) % 2][i] += one_more
+        if not bulk:
+            for c, (m, x) in enumerate(factors):
+                for code in range(x * m, (x + 1) * m):
+                    visit(n + 1, factors[:c] + [(m + 1, code)] + factors[c + 1 :])
+            visit(n + 1, factors + [(1, 0)])
 
-    visit(1, [])
+    if order >= 2:
+        visit(0, [])
     plain = [[1] + [even[i] + odd[i] for even, odd in by_parity[1:]] for i in range(count)]
     signed = [[1] + [even[i] - odd[i] for even, odd in by_parity[1:]] for i in range(count)]
     return plain, signed

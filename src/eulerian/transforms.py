@@ -3,9 +3,10 @@ Statistic-transporting bijections on permutations.
 
 The centrepiece is the fundamental transformation, which converts cycle
 structure into word structure: list the elements by lexicographic order of
-the pairs (orbit maximum, steps needed to reach that maximum). Orbit maxima
-of the source become left-to-right maxima of the image, which is what lets
-excedance statistics travel to descent statistics.
+the pairs (orbit maximum, steps needed to reach that maximum), that is, write
+each orbit backwards from its maximum and the orbits by increasing maximum.
+Orbit maxima of the source become left-to-right maxima of the image, which
+is what lets excedance statistics travel to descent statistics.
 
 The companions are built from it: word reversal, value complementation,
 rotation against the full cycle, and three composites that land in the
@@ -44,34 +45,39 @@ from .permutations import (
 from .polynomials import Identity
 
 
-def orbit_keys(p: Permutation) -> tuple[tuple[int, int], ...]:
-    """For each element k of 1..n, the pair (maximum of k's orbit, least
-    number of forward steps from k to that maximum).
-
-    The step count stays below the orbit length, and the n pairs are
-    pairwise distinct, so sorting them lexicographically totally orders the
-    elements; that order is the fundamental transformation.
-    """
-    n = len(p)
-    keys: list[tuple[int, int]] = [(0, 0)] * n
-    for orb in orbits(p):
-        size = len(orb)
-        im = max(range(size), key=orb.__getitem__)
-        m = orb[im]
-        for i, k in enumerate(orb):
-            keys[k - 1] = (m, (im - i) % size)
-    return tuple(keys)
-
-
 def fundamental(p: Permutation) -> Permutation:
     """Image word lists the elements by lexicographic (orbit maximum,
     distance to maximum) pairs; the last letter is preserved.
 
+    Each orbit is written from its maximum m as m, p^-1(m), p^-2(m), ...,
+    and the orbits follow in increasing order of their maxima. Scanning the
+    values downwards meets each orbit first at its maximum, so the word is
+    built back to front and reversed at the end.
+
     >>> fundamental(Permutation((6, 4, 1, 2, 5, 3)))
     (4, 2, 5, 6, 1, 3)
     """
-    keyed = sorted((key, k) for k, key in enumerate(orbit_keys(p), start=1))
-    return trusted_perm(k for _, k in keyed)
+    n = len(p)
+    # preimages, zeroed once visited
+    pre = [0] * (n + 1)
+    for k, v in enumerate(p, start=1):
+        pre[v] = k
+    out = []
+    for m in range(n, 0, -1):
+        k = pre[m]
+        if not k:
+            continue
+        pre[m] = 0
+        segment = [m]
+        while k != m:
+            segment.append(k)
+            nxt = pre[k]
+            pre[k] = 0
+            k = nxt
+        segment.reverse()
+        out += segment
+    out.reverse()
+    return trusted_perm(out)
 
 
 def fundamental_inverse(tau: Permutation) -> Permutation:
@@ -384,7 +390,6 @@ __all__ = [
     "excedance_to_rise_steps",
     "fundamental",
     "fundamental_inverse",
-    "orbit_keys",
     "reverse",
     "to_circular",
     "to_circular_steps",

@@ -98,6 +98,10 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stats"]["E"] == [2, 0]
 
+    def test_stat_on_empty_word(self, capsys):
+        assert main(["stat", "", "--stats", "E,z,eps"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["E: ", "z: 0", "eps: 1"]
+
     def test_stat_bad_word_exit_code(self, capsys):
         assert main(["stat", "1 1"]) == 2
         assert "position 2" in capsys.readouterr().err
@@ -146,6 +150,8 @@ class TestCommands:
                 ["map", "fundamental", "--r", "3", "2 1 3"],
                 "error: --r applies to the rotate map only, not fundamental",
             ),
+            (["stat", ""], "error: statistic dE is undefined on the empty word"),
+            (["stat", "", "--stats", "E,dsE"], "error: statistic dsE is undefined on the empty word"),
         ],
     )
     def test_bad_size_or_shift_is_usage_error(self, capsys, argv, message):
@@ -226,6 +232,25 @@ class TestVerify:
         registry = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 2})),)
         monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
         assert run_verification("chapter5", 5, 5, 5).elapsed >= 0.2
+
+    def test_each_point_is_timed(self, capsys, monkeypatch):
+        def slow(n):
+            time.sleep(0.05 * n)
+            return [("first", Identity(True, n, n)), ("second", Identity(True, n, n))]
+
+        registry = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 3})),)
+        monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
+        took = {(r.identity, r.params): r.elapsed for r in run_verification("chapter5", 5, 5, 5).results}
+        # the identities of one point share its time
+        assert took[("first", "n=3")] == took[("second", "n=3")] >= 0.15
+        assert took[("first", "n=1")] == took[("second", "n=1")] >= 0.05
+        assert main(["verify", "chapter5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5] == "slowest points:"
+        assert [line.split()[1:] for line in lines[6:]] == [["slow", "[n=3]"], ["slow", "[n=1]"]]
+        assert main(["verify", "chapter5", "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert all(r["elapsed"] >= 0.05 for r in results)
 
     def test_budgets_shrink_or_leave_out_points(self):
         decl = Declaration(

@@ -422,6 +422,12 @@ class TestInsertionSweep:
             if is_connected(w)
         }
 
+    def test_one_weight_call_per_connected_factor(self):
+        calls = []
+        weighted_permutation_sums((lambda g: calls.append(g) or 1,), 8)
+        # the cycles of size m <= 8 number (m - 1)!
+        assert len(calls) == sum(factorial(m - 1) for m in range(1, 9)) == 5914
+
     def test_budget(self):
         from eulerian.permutations import BudgetError
 

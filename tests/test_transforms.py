@@ -1,5 +1,7 @@
 """The fundamental transformation and its companion bijections."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian.permutations import (
     DERANGEMENT,
@@ -12,6 +14,7 @@ from eulerian.permutations import (
     excedance_vector,
     orbits,
     rise_vector,
+    trusted_perm,
 )
 from eulerian.transforms import (
     check_biexcedent_alternating,
@@ -33,13 +36,41 @@ from eulerian.transforms import (
     excedance_to_rise_steps,
     fundamental,
     fundamental_inverse,
-    orbit_keys,
     reverse,
     to_circular,
     word_rotate,
 )
 
 RUNNING = Permutation((6, 4, 1, 2, 5, 3))
+
+
+def orbit_keys(p):
+    """For each element k of 1..n, the pair (maximum of k's orbit, least
+    number of forward steps from k to that maximum).
+
+    The step count stays below the orbit length, and the n pairs are
+    pairwise distinct, so sorting them lexicographically totally orders the
+    elements; that order is the fundamental transformation.
+    """
+    n = len(p)
+    keys = [(0, 0)] * n
+    for orb in orbits(p):
+        size = len(orb)
+        im = max(range(size), key=orb.__getitem__)
+        m = orb[im]
+        for i, k in enumerate(orb):
+            keys[k - 1] = (m, (im - i) % size)
+    return tuple(keys)
+
+
+def fundamental_by_keys(p):
+    """The reference route for `fundamental`: sort the elements by their
+    orbit keys."""
+    keyed = sorted((key, k) for k, key in enumerate(orbit_keys(p), start=1))
+    return trusted_perm(k for _, k in keyed)
+
+
+large_perms = st.integers(50, 500).flatmap(lambda n: st.permutations(range(1, n + 1)))
 
 # the five biexcedent words of size 4 and their images, as printed in the
 # reference table
@@ -68,6 +99,19 @@ class TestFundamental:
 
     def test_running_example(self):
         assert fundamental(RUNNING) == (4, 2, 5, 6, 1, 3)
+
+    def test_matches_orbit_key_sort(self):
+        for n in range(9):
+            for p in enumerate_class(n):
+                assert fundamental(p) == fundamental_by_keys(p)
+
+    @given(large_perms)
+    @settings(max_examples=40, deadline=None)
+    def test_large_words(self, word):
+        p = Permutation(word)
+        image = fundamental(p)
+        assert image == fundamental_by_keys(p)
+        assert fundamental_inverse(image) == p
 
     def test_identity_fixed(self):
         p = Permutation.identity(5)
