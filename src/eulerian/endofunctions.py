@@ -124,16 +124,11 @@ def count_class_functions(n: int, kind: str) -> int:
     if n == 0:
         return 1 if kind == "ultimately_idempotent" else 0
     check_budget(n, DEFAULT_MAP_SCAN_BUDGET, "endofunction scan")
-    count = 0
     if kind == "ultimately_idempotent":
-        for image in itertools.product(range(1, n + 1), repeat=n):
-            if _cycles_are_loops(image):
-                count += 1
+        keep = _cycles_are_loops
     else:
-        for image in itertools.product(range(1, n + 1), repeat=n):
-            if _cycles_are_loops(image) and len(subdomains(image)) == 1:
-                count += 1
-    return count
+        keep = lambda image: _cycles_are_loops(image) and len(subdomains(image)) == 1
+    return sum(map(keep, itertools.product(range(1, n + 1), repeat=n)))
 
 
 __all__ = [

@@ -58,12 +58,6 @@ class Permutation(tuple):
     def __call__(self, k: int) -> int:
         return self[k - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for pos, val in enumerate(self, start=1):
-            inv[val - 1] = pos
-        return trusted_perm(inv)
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return trusted_perm(range(1, n + 1))
@@ -369,6 +363,14 @@ _PREDICATES: dict[str, Callable] = {
 }
 
 
+def _predicate(tag: ClassTag, n: int) -> Callable:
+    if tag.kind != "r_tail_ordered":
+        return _PREDICATES[tag.kind]
+    if tag.r is None or not 1 <= tag.r <= n:
+        raise ValueError(f"r_tail_ordered needs 1 <= r <= n, got r={tag.r}, n={n}")
+    return lambda word: _is_r_tail_ordered(word, tag.r)
+
+
 def _alternating_window(n: int, k: int, prev: int, placed) -> tuple[int, int]:
     # down-up: an even position lies below its left neighbour, an odd one
     # from position 3 on lies above it
@@ -409,57 +411,68 @@ def _backtrack(n: int, window: Callable) -> Iterator[tuple[int, ...]]:
         yield from extend(1)
 
 
-# sparse classes generated directly rather than filtered out of all n! words
-_WINDOWS: dict[str, Callable] = {
-    "alternating": _alternating_window,
-    "biexcedent": _biexcedent_window,
+def _circular_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The n-cycles (n, a_1, ..., a_{n-1}) as image words, in lexicographic
+    order of the a_i."""
+    if n < 1:
+        return
+    for arr in itertools.permutations(range(1, n)):
+        word = [0] * n
+        point = n
+        for v in arr:
+            word[point - 1] = v
+            point = v
+        word[point - 1] = n
+        yield tuple(word)
+
+
+def _first_is_n_words(n: int) -> Iterator[tuple[int, ...]]:
+    # all members share the first letter, so lex order is lex on the rest
+    return ((n,) + rest for rest in itertools.permutations(range(1, n))) if n > 0 else iter(())
+
+
+def _last_is_1_words(n: int) -> Iterator[tuple[int, ...]]:
+    return (rest + (1,) for rest in itertools.permutations(range(2, n + 1))) if n > 0 else iter(())
+
+
+# classes generated directly rather than filtered out of all n! words; the
+# backtracked words still pass their class predicate
+_GENERATORS: dict[str, Callable[[int], Iterator[tuple[int, ...]]]] = {
+    "all": lambda n: itertools.permutations(range(1, n + 1)),
+    "first_is_n": _first_is_n_words,
+    "last_is_1": _last_is_1_words,
+    "circular": _circular_words,
+    "alternating": lambda n: filter(_is_alternating, _backtrack(n, _alternating_window)),
+    "biexcedent": lambda n: filter(_is_biexcedent, _backtrack(n, _biexcedent_window)),
 }
 
 
 def is_in_class(p, tag: ClassTag) -> bool:
     word = tuple(p)
-    if tag.kind == "r_tail_ordered":
-        if tag.r is None or not 1 <= tag.r <= len(word):
-            raise ValueError(f"r_tail_ordered needs 1 <= r <= n, got r={tag.r}, n={len(word)}")
-        return _is_r_tail_ordered(word, tag.r)
-    return _PREDICATES[tag.kind](word)
+    return _predicate(tag, len(word))(word)
 
 
 def enumerate_class(
     n: int, tag: ClassTag = ALL, *, max_n: int = DEFAULT_PERM_BUDGET
-) -> Iterator[Permutation]:
-    """Yield every member of the class exactly once, in lexicographic word
-    order. The scan is exhaustive, hence the budget.
+) -> Iterator[tuple[int, ...]]:
+    """Iterate over every member of the class exactly once, as a plain word
+    tuple. The scan is exhaustive, hence the budget, which is checked when
+    this is called. Every exhaustive sweep of a permutation class in the
+    package goes through here.
 
-    The alternating and biexcedent classes are generated directly, by a
-    lexicographic backtrack that only places letters their definition
-    allows at each position; every word it completes still passes the
-    class predicate before it is yielded. `first_is_n` and `last_is_1` fix
-    one letter and permute the rest. Every other class filters all n!
-    words through its predicate."""
+    Words come in lexicographic order, except in the circular class from
+    n = 4 on: it is generated as the n-cycles (n, a_1, ..., a_{n-1}), in
+    lexicographic order of the a_i, which is not word order.
+
+    `all`, `first_is_n` and `last_is_1` permute the free letters directly.
+    The alternating and biexcedent classes come from a lexicographic
+    backtrack that only places letters their definition allows at each
+    position; every word it completes still passes the class predicate.
+    Every other class filters all n! words through its predicate."""
     check_budget(n, max_n, "permutation enumeration")
-    if tag.kind == "r_tail_ordered" and (tag.r is None or not 1 <= tag.r <= n):
-        raise ValueError(f"r_tail_ordered needs 1 <= r <= n, got r={tag.r}, n={n}")
-    if n >= 1 and tag.kind == "first_is_n":
-        # all members share the first letter, so lex order is lex on the rest
-        for rest in itertools.permutations(range(1, n)):
-            yield trusted_perm((n,) + rest)
-        return
-    if n >= 1 and tag.kind == "last_is_1":
-        for rest in itertools.permutations(range(2, n + 1)):
-            yield trusted_perm(rest + (1,))
-        return
-    if tag.kind == "r_tail_ordered":
-        pred = lambda word: _is_r_tail_ordered(word, tag.r)  # noqa: E731
-    else:
-        pred = _PREDICATES[tag.kind]
-    if tag.kind in _WINDOWS:
-        words = _backtrack(n, _WINDOWS[tag.kind])
-    else:
-        words = itertools.permutations(range(1, n + 1))
-    for word in words:
-        if pred(word):
-            yield trusted_perm(word)
+    pred = _predicate(tag, n)
+    generate = _GENERATORS.get(tag.kind)
+    return generate(n) if generate else filter(pred, itertools.permutations(range(1, n + 1)))
 
 
 def class_size(n: int, tag: ClassTag) -> int:

@@ -65,7 +65,7 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -299,8 +299,7 @@ def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Po
         return Poly((factorial(n),))
     counts = [0] * (n + 1)
     if stat == "delta_excedance":
-        check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
-        for word in itertools.permutations(range(1, n + 1)):
+        for word in perms.enumerate_class(n):
             c = 0
             for k in range(n - r):
                 if word[k] >= k + 1 + r:
@@ -428,7 +427,6 @@ def riordan_stirling_identity(n: int, r: int) -> Identity:
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     lhs = eulerian_triangle_recurrence(n, r).eval(Poly((1, 1)))
-    lhs = lhs if isinstance(lhs, Poly) else Poly((lhs,))
     rhs = Poly(
         tuple(factorial(n - k) * stirling2(n + 1 - r, n + 1 - r - k) for k in range(n - r + 1))
     )
@@ -497,9 +495,13 @@ def newcomb_specialization(n: int, r: int) -> Identity:
 
 @lru_cache(maxsize=None)
 def _roselle_counts(n: int, via: str) -> tuple[int, ...]:
+    # the derangement route sweeps all of S_n and breaks at the first fixed
+    # point: faster than the derangement class, which filters S_n anyway
+    derangements = via == "excedance_derangements"
+    words = perms.enumerate_class(n, perms.ALL if derangements else perms.SUCCESSION_FREE)
     counts = [0] * (n + 1)
-    if via == "excedance_derangements":
-        for word in itertools.permutations(range(1, n + 1)):
+    if derangements:
+        for word in words:
             c = 0
             for k, v in enumerate(word, start=1):
                 if v == k:
@@ -509,7 +511,7 @@ def _roselle_counts(n: int, via: str) -> tuple[int, ...]:
             else:
                 counts[c] += 1
     else:
-        for p in perms.enumerate_class(n, perms.SUCCESSION_FREE):
+        for p in words:
             counts[perms.positive_count(perms.rise_vector(p))] += 1
     return tuple(counts)
 
@@ -521,15 +523,15 @@ def roselle_polynomial(n: int, via: str = "excedance_derangements") -> Poly:
         raise ValueError(f"unknown route {via!r}")
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
     return Poly(_roselle_counts(n, via))
 
 
 @lru_cache(maxsize=None)
 def _fix_exc_counts(n: int) -> tuple[tuple[int, ...], ...]:
     # counts[f][e]: permutations with f fixed points and e strict excedances
+    words = perms.enumerate_class(n)
     counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for word in itertools.permutations(range(1, n + 1)):
+    for word in words:
         fix = exc = 0
         for k, v in enumerate(word, start=1):
             if v == k:
@@ -548,16 +550,15 @@ def abar_polynomial(n: int) -> Poly:
     polynomial, the classical Eulerian polynomial, and the derangement
     restriction respectively.
     """
-    check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
     return Poly(tuple(Poly(row) for row in _fix_exc_counts(n)))
 
 
 def q_polynomial(n: int) -> Poly:
     """Joint generating polynomial of cycle count (outer variable r) and
     strict excedances (inner variable t)."""
-    check_budget(n, DEFAULT_PERM_BUDGET, "permutation enumeration")
+    words = perms.enumerate_class(n)
     counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for word in itertools.permutations(range(1, n + 1)):
+    for word in words:
         exc = sum(1 for k, v in enumerate(word, start=1) if v > k)
         counts[perms.cycle_count(word)][exc] += 1
     return Poly(tuple(Poly(row) for row in counts))
@@ -578,8 +579,7 @@ def q_identity_integer_shift(n: int, r: int) -> Identity:
     the shifted Eulerian polynomial of size n + r - 1 over (r-1)!."""
     q = q_polynomial(n)
     lhs = eulerian_triangle_recurrence(n + r - 1, r)
-    val = q.eval(r)
-    rhs = factorial(r - 1) * (val if isinstance(val, Poly) else Poly((val,)))
+    rhs = factorial(r - 1) * q.eval(r)
     return Identity(lhs == rhs, lhs, rhs)
 
 
@@ -587,12 +587,7 @@ def q_identity_reciprocal(n: int) -> Identity:
     """The rise/record polynomial is the t-reciprocal (to degree n) of the
     cycle/excedance polynomial, as a two-variable identity."""
     q = q_polynomial(n)
-    rhs = Poly(
-        tuple(
-            reciprocal_poly(c, n) if isinstance(c, Poly) else reciprocal_poly(Poly((c,)), n)
-            for c in q.coeffs
-        )
-    )
+    rhs = Poly(tuple(reciprocal_poly(c, n) for c in q.coeffs))
     lhs = rise_record_polynomial(n)
     return Identity(lhs == rhs, lhs, rhs)
 
@@ -619,7 +614,7 @@ def _transport_families(n: int) -> tuple[tuple[tuple[StatVector, int], ...], ...
     # the raw vector multisets of check_multiset_transport at size n, as
     # (vector, multiplicity) pairs, so that one sweep per family serves
     # every operator; the plain descent family comes last
-    def tally(size: int, tag, stat: Callable[[perms.Permutation], StatVector]):
+    def tally(size: int, tag, stat: Callable[[tuple[int, ...]], StatVector]):
         return tuple(Counter(stat(p) for p in perms.enumerate_class(size, tag)).items())
 
     return (
@@ -711,14 +706,10 @@ def check_mixed_specializations(n: int) -> Identity:
     """The joint fixed-point/excedance polynomial specializes to the 0-shift,
     classical, and derangement polynomials at outer values t, 1, 0."""
     bar = abar_polynomial(n)
-
-    def as_poly(x):
-        return x if isinstance(x, Poly) else Poly((x,))
-
     ok = (
-        as_poly(bar.eval(T)) == eulerian_shift_recurrence(n, 0)
-        and as_poly(bar.eval(1)) == eulerian_polynomial(n)
-        and as_poly(bar.eval(0)) == roselle_polynomial(n)
+        bar.eval(T) == eulerian_shift_recurrence(n, 0)
+        and bar.eval(1) == eulerian_polynomial(n)
+        and bar.eval(0) == roselle_polynomial(n)
     )
     return Identity(ok, bar, n)
 

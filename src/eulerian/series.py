@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import permutations as perms
 from .endofunctions import count_class_functions, trusted_map
@@ -516,19 +516,6 @@ def check_convolution_recurrence(n_max: int) -> Identity:
 # -- the exponential formula ------------------------------------------------
 
 
-def _circular_words(n: int) -> Iterator[tuple[int, ...]]:
-    """The n-cycles (n, a_1, ..., a_{n-1}) as image words, in lexicographic
-    order of the a_i."""
-    for arr in itertools.permutations(range(1, n)):
-        word = [0] * n
-        point = n
-        for v in arr:
-            word[point - 1] = v
-            point = v
-        word[point - 1] = n
-        yield tuple(word)
-
-
 def cycle_indicator_weight(xs: Sequence) -> Callable[[tuple], object]:
     """Weight of a connected factor of size m: the m-th of the given values;
     the product over factors is the cycle-type monomial evaluated there."""
@@ -712,7 +699,9 @@ def exponential_formula_bundle(
 
     Left sides come from :func:`weighted_permutation_sums`, one sweep shared
     by the weights (which is why they are bundled). Right sides weigh the
-    circular words directly and go through `exp` and `reciprocal`.
+    circular class of :func:`~eulerian.permutations.enumerate_class`, built
+    as n-cycles rather than by insertion codes, and go through `exp` and
+    `reciprocal`.
     """
     names = list(weights)
     fns = [weights[name] for name in names]
@@ -721,7 +710,7 @@ def exponential_formula_bundle(
     signed = dict(zip(names, signed_sums))
     conn = {name: [0] * (order + 1) for name in names}
     for n in range(1, order + 1):
-        for w in _circular_words(n):
+        for w in perms.enumerate_class(n, perms.CIRCULAR, max_n=max_n):
             for i, name in enumerate(names):
                 conn[name][n] = conn[name][n] + fns[i](w)
     out = {}

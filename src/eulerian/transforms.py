@@ -229,8 +229,8 @@ def check_record_orbit_lemma(n: int) -> Identity:
             # the fixed-point clause applies to record values only: k must be
             # its orbit's maximum before the neighbour condition means anything
             lemma = k in record_vals and (j == n or (j + 1) in maxima_pos)
-            if (p(k) == k) != lemma:
-                return Identity(False, p(k) == k, lemma, f"fixed-point clause at {p}, k={k}")
+            if (p[k - 1] == k) != lemma:
+                return Identity(False, p[k - 1] == k, lemma, f"fixed-point clause at {p}, k={k}")
     return Identity(True, n, n)
 
 
@@ -239,10 +239,12 @@ def check_valley_position_lemma(n: int) -> Identity:
     image word is a strict local minimum away from the first position."""
     for p in enumerate_class(n):
         h = fundamental(p)
-        inv = p.inverse()
+        pre = [0] * (n + 1)
+        for j, v in enumerate(p, start=1):
+            pre[v] = j
         for j in range(1, n + 1):
             k = h(j)
-            lhs = k < p(k) and k < inv(k)
+            lhs = k < p[k - 1] and k < pre[k]
             if j == 1:
                 rhs = False
             elif j <= n - 1:

@@ -81,3 +81,49 @@ def test_an_unreferenced_private_name_is_reported():
         "print(_used(2))\n"
     )
     assert _unreferenced_private_names({"m.py": ast.parse(source)}) == ["m.py:_dead", "m.py:_Gone"]
+
+
+def _single_argument_permutations(tree: ast.Module) -> list[int]:
+    """Lines that call ``itertools.permutations`` with one argument, that is,
+    that list all of S_n by hand instead of through ``enumerate_class``.
+    Calls with a length argument list arrangements and are left alone."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for alias in node.names
+        if alias.name == "permutations"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            named = func.attr == "permutations" and getattr(func.value, "id", "") == "itertools"
+        else:
+            named = getattr(func, "id", "") in aliases
+        if named and len(node.args) + len(node.keywords) == 1:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_class_sweep_goes_through_enumerate_class():
+    found = {
+        path.name: _single_argument_permutations(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "permutations.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_a_hand_rolled_sweep_is_reported():
+    source = (
+        "import itertools\n"
+        "from itertools import permutations as perm\n"
+        "a = itertools.permutations(range(1, 4))\n"
+        "b = itertools.permutations(range(1, 4), 2)\n"
+        "c = perm([1, 2])\n"
+        "d = itertools.permutations(range(1, 4), r=2)\n"
+    )
+    assert _single_argument_permutations(ast.parse(source)) == [3, 5]

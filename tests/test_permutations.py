@@ -273,17 +273,42 @@ class TestClasses:
             list(enumerate_class(11, ALL))
         with pytest.raises(BudgetError):
             list(enumerate_class(5, ALL, max_n=4))
+        # the guard fires on the call itself, before any word is asked for
+        with pytest.raises(BudgetError):
+            enumerate_class(11, CIRCULAR)
 
     @pytest.mark.parametrize(
-        "tag, pred",
-        [(ALTERNATING, _is_alternating), (BIEXCEDENT, _is_biexcedent)],
-        ids=["alternating", "biexcedent"],
+        "tag, pred, ordered",
+        [
+            (ALTERNATING, _is_alternating, True),
+            (BIEXCEDENT, _is_biexcedent, True),
+            (FIRST_IS_N, lambda w: len(w) > 0 and w[0] == len(w), True),
+            (LAST_IS_1, lambda w: len(w) > 0 and w[-1] == 1, True),
+            (CIRCULAR, lambda w: len(w) > 0 and len(orbits(w)) == 1, False),
+        ],
+        ids=["alternating", "biexcedent", "first_is_n", "last_is_1", "circular"],
     )
-    def test_generated_class_matches_filter(self, tag, pred):
-        # the backtrack must yield exactly the filtered words, order included
+    def test_generated_class_matches_filter(self, tag, pred, ordered):
+        # a direct generator must yield exactly the filtered words, in word
+        # order except for the circular class, which is checked as a set
+        # without repeats
         for n in range(10):
             expected = [w for w in itertools.permutations(range(1, n + 1)) if pred(w)]
-            assert list(enumerate_class(n, tag)) == expected
+            members = list(enumerate_class(n, tag))
+            assert all(type(w) is tuple for w in members)
+            if ordered:
+                assert members == expected
+            else:
+                assert sorted(members) == expected
+
+    def test_circular_order_follows_the_cycle(self):
+        # the n-cycles (n, a_1, ..., a_{n-1}) in lexicographic order of the
+        # a_i: 4 -> 1 -> 2 -> 3 -> 4 first, then 4 -> 1 -> 3 -> 2 -> 4, which
+        # leaves word order from n = 4 on
+        members = list(enumerate_class(4, CIRCULAR))
+        assert members == [(2, 3, 4, 1), (3, 4, 2, 1), (3, 1, 4, 2), (4, 3, 1, 2), (2, 4, 1, 3), (4, 1, 2, 3)]
+        assert members != sorted(members)
+        assert list(enumerate_class(3, CIRCULAR)) == [(2, 3, 1), (3, 1, 2)]
 
     @pytest.mark.parametrize("tag", [ALTERNATING, BIEXCEDENT], ids=["alternating", "biexcedent"])
     def test_generated_class_budget(self, tag):
