@@ -18,8 +18,6 @@ from .permutations import (
     DERANGEMENT,
     FIRST_IS_N,
     LAST_IS_1,
-    Permutation,
-    StatVector,
     SUCCESSION_FREE,
 )
 from .polynomials import Identity, Poly
@@ -36,10 +34,8 @@ __all__ = [
     "FIRST_IS_N",
     "Identity",
     "LAST_IS_1",
-    "Permutation",
     "Poly",
     "SquareMatrix",
-    "StatVector",
     "SUCCESSION_FREE",
     "TruncSeries",
 ]

@@ -22,7 +22,7 @@ from . import polynomials as poly
 from . import series as ser
 from . import transforms as tr
 from . import words
-from .permutations import BudgetError, Permutation
+from .permutations import BudgetError
 from .polynomials import Identity, Poly, as_int
 
 
@@ -382,7 +382,7 @@ def render_euler_number_table(fmt: str) -> str:
 # word parsing and the small commands
 
 
-def parse_permutation(text: str) -> Permutation:
+def parse_permutation(text: str) -> tuple[int, ...]:
     pieces = text.replace(",", " ").split()
     values = []
     for i, piece in enumerate(pieces, start=1):
@@ -398,10 +398,10 @@ def parse_permutation(text: str) -> Permutation:
         if v in seen:
             raise ValueError(f"position {i}: value {v} repeated")
         seen.add(v)
-    return perms.trusted_perm(values)
+    return tuple(values)
 
 
-_STATS: dict[str, Callable[[Permutation], object]] = {
+_STATS: dict[str, Callable[[tuple[int, ...]], object]] = {
     "E": perms.excedance_vector,
     "D": perms.descent_vector,
     "M": perms.rise_vector,
@@ -417,7 +417,7 @@ _STATS: dict[str, Callable[[Permutation], object]] = {
     "eps": perms.signature,
 }
 
-_MAPS: dict[str, Callable[[Permutation], Permutation]] = {
+_MAPS: dict[str, Callable[[tuple[int, ...]], tuple[int, ...]]] = {
     "fundamental": tr.fundamental,
     "fundamental-inverse": tr.fundamental_inverse,
     "tilde": tr.reverse,

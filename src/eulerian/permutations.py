@@ -7,19 +7,23 @@ Conventions
 * A permutation is stored as the word (sigma(1), ..., sigma(n)); the empty
   word is the unique permutation of size 0.
 * Every position or value reported by this module is 1-based.
-* Statistic vectors live in N^p: each entry is the positive part
-  (x)+ = max(0, x) of an integer expression, clamped on construction.
+* Words and statistic vectors are plain tuples of ints. A statistic vector
+  lies in N^p: each entry is the positive part (x)+ = max(0, x) of an
+  integer expression, and each kernel clamps its own entries.
+* The operators act on N^p: they expect nonnegative entries, as every
+  kernel returns, and clamp what they lower.
 * Descent and rise vectors hard-code the boundary values
   sigma(0) = sigma^(-1)(0) = sigma(n+1) = 0.
 
-All public types are immutable values, and every function is pure, so
-everything here is safe to share across threads.
+Every function is pure and returns immutable values, so everything here is
+safe to share across threads.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from operator import add
+from typing import Callable, Iterator
 
 DEFAULT_PERM_BUDGET = 10
 DEFAULT_MAP_SCAN_BUDGET = 7
@@ -34,91 +38,50 @@ def check_budget(n: int, max_n: int, what: str) -> None:
         raise BudgetError(f"{what} at n={n} exceeds the configured limit max_n={max_n}")
 
 
-class Permutation(tuple):
-    """One-line word of a permutation of {1..n}.
-
-    Behaves as a tuple of values; ``p(k)`` is sigma(k) for 1-based k.
-
-    >>> p = Permutation((6, 4, 1, 2, 5, 3))
-    >>> p(1), p(6)
-    (6, 3)
-    """
-
-    def __new__(cls, word: Iterable[int] = ()):
-        word = tuple(word)
-        n = len(word)
-        if sorted(word) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {word!r}")
-        return tuple.__new__(cls, word)
-
-    @property
-    def n(self) -> int:
-        return len(self)
-
-    def __call__(self, k: int) -> int:
-        return self[k - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return trusted_perm(range(1, n + 1))
-
-
-def trusted_perm(word: Iterable[int]) -> Permutation:
-    """Wrap an already-validated word without re-checking bijectivity."""
-    return tuple.__new__(Permutation, tuple(word))
-
-
-class StatVector(tuple):
-    """Finite vector of nonnegative integers; entries are clamped at zero."""
-
-    def __new__(cls, entries: Iterable[int] = ()):
-        return tuple.__new__(cls, tuple(x if x > 0 else 0 for x in entries))
-
-
 # ---------------------------------------------------------------------------
 # operators on statistic vectors
 
 
-def delta(v) -> StatVector:
+def delta(v) -> tuple[int, ...]:
     """Drop the last entry and lower every remaining one by 1, clamped."""
     if not v:
         raise ValueError("delta on empty vector")
-    return StatVector(x - 1 for x in v[:-1])
+    return tuple([x - 1 if x else 0 for x in v[:-1]])
 
 
-def delta_prime(v) -> StatVector:
+def delta_prime(v) -> tuple[int, ...]:
     """Drop the first entry."""
     if not v:
         raise ValueError("delta_prime on empty vector")
-    return StatVector(v[1:])
+    return v[1:]
 
 
-def delta_second(v) -> StatVector:
+def delta_second(v) -> tuple[int, ...]:
     """Drop the last entry."""
     if not v:
         raise ValueError("delta_second on empty vector")
-    return StatVector(v[:-1])
+    return v[:-1]
 
 
-def lambda_op(v) -> StatVector:
+def lambda_op(v) -> tuple[int, ...]:
     """Lower every entry by 1, clamped; keeps the length."""
-    return StatVector(x - 1 for x in v)
+    return tuple([x - 1 if x else 0 for x in v])
 
 
-def delta_power(v, r: int) -> StatVector:
+def delta_power(v, r: int) -> tuple[int, ...]:
     """r-fold delta in one pass: first len(v)-r entries, lowered by r."""
     if r == 0:
-        return StatVector(v)
+        return tuple(v)
     if r > len(v):
         raise ValueError("delta on empty vector")
-    return StatVector(x - r for x in v[: len(v) - r])
+    return tuple([x - r if x > r else 0 for x in v[: len(v) - r]])
 
 
-def apply_operators(v, ops: str) -> StatVector:
+def apply_operators(v, ops: str) -> tuple[int, ...]:
     """Apply a word over {'d', 'p', 's', 'l'} (delta, delta', delta'', lambda),
     leftmost letter applied last, matching operator composition order."""
     table = {"d": delta, "p": delta_prime, "s": delta_second, "l": lambda_op}
-    out = StatVector(v)
+    out = tuple(v)
     for ch in reversed(ops):
         out = table[ch](out)
     return out
@@ -133,22 +96,25 @@ def positive_count(v) -> int:
 # statistic vectors of a permutation
 
 
-def excedance_vector(p: Permutation) -> StatVector:
+def excedance_vector(p: tuple[int, ...]) -> tuple[int, ...]:
     """(sigma(k) - (k-1))+ for k = 1..n.
 
     Entry k equals 1 exactly when k is a fixed point, and exceeds 1 exactly
     when sigma(k) > k.
 
-    >>> excedance_vector(Permutation((6, 4, 1, 2, 5, 3)))
+    >>> excedance_vector((6, 4, 1, 2, 5, 3))
     (6, 3, 0, 0, 1, 0)
     """
-    return StatVector(v - k for k, v in enumerate(p))
+    return tuple([v - k if v > k else 0 for k, v in enumerate(p)])
 
 
-def descent_vector(p: Permutation) -> StatVector:
+def descent_vector(p: tuple[int, ...]) -> tuple[int, ...]:
     """Entry k is (sigma(j-1) - (k-1))+ where j is the position of value k.
 
     Entries are 0 or >= 2, and the last entry is always 0.
+
+    >>> descent_vector((6, 4, 1, 2, 5, 3))
+    (4, 0, 3, 3, 0, 0)
     """
     n = len(p)
     pos = [0] * (n + 1)
@@ -158,11 +124,11 @@ def descent_vector(p: Permutation) -> StatVector:
     for k in range(1, n + 1):
         j = pos[k]
         prev = p[j - 2] if j >= 2 else 0
-        out.append(prev - (k - 1))
-    return StatVector(out)
+        out.append(prev - k + 1 if prev >= k else 0)
+    return tuple(out)
 
 
-def rise_vector(p: Permutation) -> StatVector:
+def rise_vector(p: tuple[int, ...]) -> tuple[int, ...]:
     """Entry k is (sigma(1 + j) - (k-1))+ where j is the position of k-1."""
     n = len(p)
     pos = [0] * (n + 1)
@@ -172,13 +138,13 @@ def rise_vector(p: Permutation) -> StatVector:
     for k in range(1, n + 1):
         j = pos[k - 1] if k >= 2 else 0
         nxt = p[j] if j < n else 0
-        out.append(nxt - (k - 1))
-    return StatVector(out)
+        out.append(nxt - k + 1 if nxt >= k else 0)
+    return tuple(out)
 
 
-def fixed_point_vector(p: Permutation) -> StatVector:
+def fixed_point_vector(p: tuple[int, ...]) -> tuple[int, ...]:
     """0/1 indicator of fixed points, entry k for position k."""
-    return StatVector(1 if v == k else 0 for k, v in enumerate(p, start=1))
+    return tuple([1 if v == k else 0 for k, v in enumerate(p, start=1)])
 
 
 def left_to_right_maxima(p) -> tuple[int, ...]:
@@ -196,7 +162,7 @@ def ltr_maximum_count(p) -> int:
     return len(left_to_right_maxima(p))
 
 
-def dprime_vector(p: Permutation) -> StatVector:
+def dprime_vector(p: tuple[int, ...]) -> tuple[int, ...]:
     """0/1 certificate whose entrywise sum with the descent vector records both
     descents and runs of left-to-right maxima.
 
@@ -221,11 +187,11 @@ def dprime_vector(p: Permutation) -> StatVector:
             out.append(1)
         else:
             out.append(1 if (j + 1) in maxima else 0)
-    return StatVector(out)
+    return tuple(out)
 
 
-def descent_plus_certificate(p: Permutation) -> StatVector:
-    return StatVector(a + b for a, b in zip(descent_vector(p), dprime_vector(p)))
+def descent_plus_certificate(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, descent_vector(p), dprime_vector(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +414,7 @@ _GENERATORS: dict[str, Callable[[int], Iterator[tuple[int, ...]]]] = {
 
 
 def is_in_class(p, tag: ClassTag) -> bool:
-    word = tuple(p)
-    return _predicate(tag, len(word))(word)
+    return _predicate(tag, len(p))(p)
 
 
 def enumerate_class(
@@ -479,9 +444,9 @@ def class_size(n: int, tag: ClassTag) -> int:
     return sum(1 for _ in enumerate_class(n, tag))
 
 
-def zeta(n: int) -> Permutation:
+def zeta(n: int) -> tuple[int, ...]:
     """The cycle (2, 3, ..., n, 1) sending n to 1 and k to k+1 below n."""
-    return trusted_perm(tuple(range(2, n + 1)) + (1,)) if n else trusted_perm(())
+    return tuple(range(2, n + 1)) + (1,) if n else ()
 
 
 __all__ = [
@@ -496,8 +461,6 @@ __all__ = [
     "DERANGEMENT",
     "FIRST_IS_N",
     "LAST_IS_1",
-    "Permutation",
-    "StatVector",
     "SUCCESSION_FREE",
     "apply_operators",
     "check_budget",
@@ -522,6 +485,5 @@ __all__ = [
     "r_tail_ordered",
     "rise_vector",
     "signature",
-    "trusted_perm",
     "zeta",
 ]

@@ -23,11 +23,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import permutations as perms
-from .permutations import (
-    DEFAULT_PERM_BUDGET,
-    StatVector,
-    check_budget,
-)
+from .permutations import DEFAULT_PERM_BUDGET, check_budget
 
 
 class Poly:
@@ -199,18 +195,22 @@ def _triangle_row(n: int, r: int) -> tuple[int, ...]:
     # two-term coefficient recurrence
     #   a(n, k) = (k + r) a(n-1, k) + (n + 1 - k - r) a(n-1, k-1)
     # started from the single value r! at n = r; the missing rows are built
-    # upward from the largest one already cached, and every row is kept
+    # upward from the largest one already cached, and only rows n - 1 and n
+    # are kept, the pair eulerian_triangle_recurrence compares, so memory
+    # stays linear in the row length
     m = n
     while m > r and (m, r) not in _TRIANGLE_ROWS:
         m -= 1
-    row = _TRIANGLE_ROWS.setdefault((m, r), (factorial(r),))
+    row = _TRIANGLE_ROWS.get((m, r), (factorial(r),))
     for size in range(m + 1, n + 1):
+        if size == n:
+            _TRIANGLE_ROWS[size - 1, r] = row
         row = tuple(
             (k + r) * (row[k] if k < len(row) else 0)
             + (size + 1 - k - r) * (row[k - 1] if k else 0)
             for k in range(size - r + 1)
         )
-        _TRIANGLE_ROWS[size, r] = row
+    _TRIANGLE_ROWS[n, r] = row
     return row
 
 
@@ -308,10 +308,10 @@ def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Po
         return Poly(counts)
     if stat == "descent" and r == 0:
         raise ValueError("the descent statistic needs r >= 1")
-    op: Callable[[StatVector], StatVector]
+    op: Callable[[tuple[int, ...]], tuple[int, ...]]
     if stat == "delta_prime_excedance":
         tag, size, vec = perms.ALL, n, perms.excedance_vector
-        op = lambda v: StatVector(v[r:])
+        op = lambda v: v[r:]
     elif stat == "delta_rise":
         tag, size, vec = perms.ALL, n, perms.rise_vector
         op = lambda v: perms.delta_power(v, r)
@@ -320,13 +320,13 @@ def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Po
         op = lambda v: perms.delta_power(v, r)
     elif stat == "descent":
         tag, size, vec = perms.ALL, n, perms.descent_vector
-        op = lambda v: StatVector(perms.delta(v)[r - 1 :])
+        op = lambda v: perms.delta(v)[r - 1 :]
     elif stat == "circular":
         tag, size, vec = perms.CIRCULAR, n + 1, perms.excedance_vector
         op = lambda v: perms.delta_power(v, r + 1)
     else:  # first_letter_descent
         tag, size, vec = perms.FIRST_IS_N, n + 1, perms.descent_vector
-        op = lambda v: StatVector(perms.delta(v)[r:])
+        op = lambda v: perms.delta(v)[r:]
     for p in perms.enumerate_class(size, tag):
         counts[perms.positive_count(op(vec(p)))] += 1
     return Poly(counts)
@@ -610,11 +610,11 @@ def injection_polynomial(n: int, r: int) -> Poly:
 
 
 @lru_cache(maxsize=1)
-def _transport_families(n: int) -> tuple[tuple[tuple[StatVector, int], ...], ...]:
+def _transport_families(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     # the raw vector multisets of check_multiset_transport at size n, as
     # (vector, multiplicity) pairs, so that one sweep per family serves
     # every operator; the plain descent family comes last
-    def tally(size: int, tag, stat: Callable[[tuple[int, ...]], StatVector]):
+    def tally(size: int, tag, stat: Callable[[tuple[int, ...]], tuple[int, ...]]):
         return tuple(Counter(stat(p) for p in perms.enumerate_class(size, tag)).items())
 
     return (
@@ -640,10 +640,10 @@ def check_multiset_transport(n: int, n_delta: int, n_prime: int) -> Identity:
     if a + b > n:
         raise ValueError("operator degree exceeds the vector length")
 
-    def pushed(family: tuple[tuple[StatVector, int], ...]) -> Counter:
+    def pushed(family: tuple[tuple[tuple[int, ...], int], ...]) -> Counter:
         out: Counter = Counter()
         for v, mult in family:
-            out[perms.delta_power(StatVector(v[b:]), a)] += mult
+            out[perms.delta_power(v[b:], a)] += mult
         return out
 
     *families, descents = map(pushed, _transport_families(n))

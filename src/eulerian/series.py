@@ -753,11 +753,18 @@ def check_tree_equation(order: int) -> Identity:
 # -- permanents and determinants ---------------------------------------------
 
 
-def check_permanent_determinant(a, b, c, order: int) -> list[tuple[str, Identity]]:
-    """For a banded matrix: the reciprocal of the permanent EGF is the signed
-    determinant EGF; the determinant has its two-case closed form; and the
-    reciprocal matches the two-case exponential closed form."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+def check_permanent_determinant(a: int, b: int, c: int, order: int) -> list[tuple[str, Identity]]:
+    """For a banded integer matrix: the reciprocal of the permanent EGF is the
+    signed determinant EGF; the determinant has its two-case closed form; and
+    the reciprocal matches the two-case exponential closed form. Both closed
+    forms for c != a divide exactly by c - a."""
+
+    def over_c_minus_a(x: int) -> int:
+        q, rem = divmod(x, c - a)
+        if rem:
+            raise ArithmeticError(f"nonzero remainder dividing {x!r} by c - a = {c - a}")
+        return q
+
     pers = [1] + [permanent(SquareMatrix.banded(n, a, b, c), max_n=order) for n in range(1, order + 1)]
     dets = [1] + [determinant(SquareMatrix.banded(n, a, b, c)) for n in range(1, order + 1)]
     per_egf = TruncSeries(order, pers)
@@ -767,7 +774,7 @@ def check_permanent_determinant(a, b, c, order: int) -> list[tuple[str, Identity
     closed_dets = [1]
     for n in range(1, order + 1):
         if c != a:
-            closed_dets.append((c * (b - a) ** n - a * (b - c) ** n) / (c - a))
+            closed_dets.append(over_c_minus_a(c * (b - a) ** n - a * (b - c) ** n))
         else:
             closed_dets.append((b - a) ** (n - 1) * (b + (n - 1) * a))
     det_ok = closed_dets == dets
@@ -776,7 +783,9 @@ def check_permanent_determinant(a, b, c, order: int) -> list[tuple[str, Identity
     )
 
     if c != a:
-        closed = (exp_of_linear(a - b, order) * c - exp_of_linear(c - b, order) * a) * (1 / (c - a))
+        closed = (exp_of_linear(a - b, order) * c - exp_of_linear(c - b, order) * a).map_coefficients(
+            over_c_minus_a
+        )
     elif a != b:
         lin = constant_series(1, order) - TruncSeries(order, (0, a))
         closed = lin * exp_of_linear(a - b, order)

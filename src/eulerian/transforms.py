@@ -25,8 +25,6 @@ from .permutations import (
     FIRST_IS_N,
     LAST_IS_1,
     SUCCESSION_FREE,
-    Permutation,
-    StatVector,
     class_size,
     delta,
     delta_power,
@@ -40,12 +38,11 @@ from .permutations import (
     orbits,
     positive_count,
     rise_vector,
-    trusted_perm,
 )
 from .polynomials import Identity
 
 
-def fundamental(p: Permutation) -> Permutation:
+def fundamental(p: tuple[int, ...]) -> tuple[int, ...]:
     """Image word lists the elements by lexicographic (orbit maximum,
     distance to maximum) pairs; the last letter is preserved.
 
@@ -54,7 +51,7 @@ def fundamental(p: Permutation) -> Permutation:
     values downwards meets each orbit first at its maximum, so the word is
     built back to front and reversed at the end.
 
-    >>> fundamental(Permutation((6, 4, 1, 2, 5, 3)))
+    >>> fundamental((6, 4, 1, 2, 5, 3))
     (4, 2, 5, 6, 1, 3)
     """
     n = len(p)
@@ -77,10 +74,10 @@ def fundamental(p: Permutation) -> Permutation:
         segment.reverse()
         out += segment
     out.reverse()
-    return trusted_perm(out)
+    return tuple(out)
 
 
-def fundamental_inverse(tau: Permutation) -> Permutation:
+def fundamental_inverse(tau: tuple[int, ...]) -> tuple[int, ...]:
     """Unique preimage under the fundamental transformation.
 
     Implemented independently of :func:`fundamental`: the segments of the
@@ -95,31 +92,31 @@ def fundamental_inverse(tau: Permutation) -> Permutation:
         for prev, cur in zip(seg, seg[1:]):
             out[cur] = prev
         out[seg[0]] = seg[-1]
-    return trusted_perm(out[1:])
+    return tuple(out[1:])
 
 
-def reverse(p: Permutation) -> Permutation:
+def reverse(p: tuple[int, ...]) -> tuple[int, ...]:
     """Word reversal, sigma(k) -> sigma(n+1-k)."""
-    return trusted_perm(p[::-1])
+    return p[::-1]
 
 
-def complement_reverse(p: Permutation) -> Permutation:
+def complement_reverse(p: tuple[int, ...]) -> tuple[int, ...]:
     """k -> n+1 - sigma(n+1-k), an involution swapping values and co-values."""
     n = len(p)
-    return trusted_perm(n + 1 - v for v in p[::-1])
+    return tuple([n + 1 - v for v in p[::-1]])
 
 
-def word_rotate(p: Permutation, r: int) -> Permutation:
+def word_rotate(p: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Right-compose r times with the cycle sending n to 1, i.e. rotate the
     one-line word left by r."""
     n = len(p)
     if n == 0:
         return p
     r %= n
-    return trusted_perm(p[r:] + p[:r])
+    return p[r:] + p[:r]
 
 
-def excedance_to_rise_steps(p: Permutation) -> tuple[Permutation, Permutation, Permutation]:
+def excedance_to_rise_steps(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The three stages (rotation, fundamental, reversal) of the map carrying
     the excedance vector onto the rise vector, entry by entry."""
     s1 = word_rotate(p, 1)
@@ -127,13 +124,13 @@ def excedance_to_rise_steps(p: Permutation) -> tuple[Permutation, Permutation, P
     return s1, s2, reverse(s2)
 
 
-def excedance_to_rise(p: Permutation) -> Permutation:
+def excedance_to_rise(p: tuple[int, ...]) -> tuple[int, ...]:
     """Bijection with excedance_vector(p) == rise_vector(image); it carries
     the fixed-point-free permutations onto the succession-free ones."""
     return excedance_to_rise_steps(p)[2]
 
 
-def excedance_to_descent(p: Permutation) -> Permutation:
+def excedance_to_descent(p: tuple[int, ...]) -> tuple[int, ...]:
     """From words ending in 1 to words starting with n, transporting the
     1-shifted excedance vector onto the 1-shifted descent vector.
 
@@ -144,17 +141,17 @@ def excedance_to_descent(p: Permutation) -> Permutation:
         raise ValueError("expects a word ending in 1")
     h = fundamental(p)
     i = h.index(n)  # 0-based position of the value n
-    return trusted_perm(h[i:] + h[:i])
+    return h[i:] + h[:i]
 
 
-def to_circular_steps(p: Permutation) -> tuple[Permutation, Permutation, Permutation]:
+def to_circular_steps(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Stages of the size-raising bijection onto circular permutations."""
-    s1 = trusted_perm(tuple(v + 1 for v in p) + (1,))
+    s1 = tuple([v + 1 for v in p]) + (1,)
     s2 = excedance_to_descent(s1)
     return s1, s2, fundamental_inverse(s2)
 
 
-def to_circular(p: Permutation) -> Permutation:
+def to_circular(p: tuple[int, ...]) -> tuple[int, ...]:
     """Bijection from all permutations of {1..n-1} onto the circular
     permutations of {1..n}, with excedance_vector(p) == delta of the image's
     excedance vector."""
@@ -243,14 +240,14 @@ def check_valley_position_lemma(n: int) -> Identity:
         for j, v in enumerate(p, start=1):
             pre[v] = j
         for j in range(1, n + 1):
-            k = h(j)
+            k = h[j - 1]
             lhs = k < p[k - 1] and k < pre[k]
             if j == 1:
                 rhs = False
             elif j <= n - 1:
-                rhs = h(j) < h(j - 1) and h(j) < h(j + 1)
+                rhs = k < h[j - 2] and k < h[j]
             else:
-                rhs = h(j) < h(j - 1)
+                rhs = k < h[j - 2]
             if lhs != rhs:
                 return Identity(False, lhs, rhs, f"at {p}, position {j}")
     return Identity(True, n, n)
@@ -334,8 +331,8 @@ def check_reverse_rise(n: int) -> Identity:
         if m[0] != p[-1]:
             return Identity(False, m[0], p[-1], f"at {p}")
         dd = delta(descent_vector(p))
-        if tuple(m[1:]) != tuple(dd):
-            return Identity(False, tuple(m[1:]), tuple(dd), f"at {p}")
+        if m[1:] != dd:
+            return Identity(False, m[1:], dd, f"at {p}")
     return Identity(True, n, n)
 
 
@@ -343,7 +340,7 @@ def check_rotation_shift(n: int, r: int) -> Identity:
     """Cropping the excedance vector r times equals lowering it r times after
     rotating the word."""
     for p in enumerate_class(n):
-        lhs = StatVector(excedance_vector(p)[r:])
+        lhs = excedance_vector(p)[r:]
         rhs = delta_power(excedance_vector(word_rotate(p, r)), r)
         if lhs != rhs:
             return Identity(False, lhs, rhs, f"at {p}, r={r}")

@@ -22,7 +22,6 @@ from math import comb
 from typing import Mapping
 
 from . import permutations as perms
-from .permutations import Permutation
 from .polynomials import (
     Identity,
     Poly,
@@ -63,11 +62,11 @@ def parse_word(text: str) -> Word:
     return tuple(rev[ch] for ch in text)
 
 
-def valley_word(p: Permutation) -> Word:
+def valley_word(p: tuple[int, ...]) -> Word:
     """Word of a permutation whose first letter is its size (n >= 2), with
     the wraparound convention that position n is compared against n itself.
 
-    >>> render_word(valley_word(Permutation((7, 1, 4, 6, 3, 2, 5))))
+    >>> render_word(valley_word((7, 1, 4, 6, 3, 2, 5)))
     'DMmdDMm'
     """
     n = len(p)
@@ -256,7 +255,7 @@ def check_reversal_bridge(n: int) -> Identity:
     if n < 2:
         raise ValueError("needs n >= 2")
     for q in perms.enumerate_class(n - 1, perms.ALL):
-        image = perms.trusted_perm((n,) + tuple(n - v for v in q))
+        image = (n,) + tuple([n - v for v in q])
         word = valley_word(image)
         d_letters = sum(1 for x in word if x in (Letter.DESCENT, Letter.MARKED_DESCENT))
         ascents = sum(1 for j in range(1, n - 1) if q[j] > q[j - 1])

@@ -24,7 +24,6 @@ from eulerian.permutations import (
     ALTERNATING,
     BIEXCEDENT,
     FIRST_IS_N,
-    Permutation,
     class_size,
     delta,
     delta_prime,
@@ -169,7 +168,7 @@ def test_criterion_3_bijection_certification(capsys):
 
 def test_criterion_4_worked_example_fidelity():
     started = time.perf_counter()
-    p = Permutation((6, 4, 1, 2, 5, 3))
+    p = (6, 4, 1, 2, 5, 3)
     e = excedance_vector(p)
     assert e == (6, 3, 0, 0, 1, 0)
     assert delta(e) == (5, 2, 0, 0, 0)

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulerian.cli as cli_mod
+from eulerian import permutations as perms
+from eulerian import transforms as tr
 from eulerian.cli import (
     _MAPS,
+    _STATS,
     Declaration,
     main,
     parse_permutation,
@@ -80,6 +83,24 @@ class TestParsing:
             parse_permutation("2 1 2")
         with pytest.raises(ValueError, match="position 1"):
             parse_permutation("7 1 2")
+        with pytest.raises(ValueError, match="position 2: value 1 repeated"):
+            parse_permutation("1 1")
+        with pytest.raises(ValueError, match="position 1: value 0 outside"):
+            parse_permutation("0 1")
+
+
+def test_words_and_vectors_are_plain_tuples():
+    # one representation: every word and statistic vector is a bare tuple
+    running = parse_permutation("6 4 1 2 5 3")
+    values = [running, tr.word_rotate(running, 2)]
+    values += [v for v in (stat(running) for stat in _STATS.values()) if not isinstance(v, int)]
+    values += [fn((6, 4, 5, 2, 3, 1) if name == "prime" else running) for name, fn in _MAPS.items()]
+    values += tr.excedance_to_rise_steps(running) + tr.to_circular_steps(running)
+    for tag in (perms.ALL, perms.CIRCULAR, perms.SUCCESSION_FREE, perms.DERANGEMENT, perms.ALTERNATING,
+                perms.BIEXCEDENT, perms.FIRST_IS_N, perms.LAST_IS_1, perms.r_tail_ordered(2)):
+        values += list(perms.enumerate_class(4, tag))
+    assert len(values) > 60
+    assert all(type(x) is tuple for x in values), [type(x) for x in values if type(x) is not tuple]
 
 
 class TestCommands:

@@ -15,7 +15,7 @@ from eulerian.endofunctions import (
     is_connected,
     subdomains,
 )
-from eulerian.permutations import BudgetError, Permutation, excedance_vector
+from eulerian.permutations import BudgetError, excedance_vector
 
 
 def iterate(word, k):
@@ -67,10 +67,10 @@ class TestFactorization:
                     assert lhs == rhs
 
     def test_permutation_factor_excedances_sum(self):
-        p = Permutation((6, 4, 1, 2, 5, 3))
+        p = (6, 4, 1, 2, 5, 3)
         total = sum(
             sum(1 for k, v in enumerate(g, start=1) if v > k)
-            for g, _ in canonical_factorization(FunctionMap(tuple(p)))
+            for g, _ in canonical_factorization(FunctionMap(p))
         )
         strict = sum(1 for k, v in enumerate(p, start=1) if v > k)
         assert total == strict == 2

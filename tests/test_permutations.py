@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerian.cli import parse_permutation
 from eulerian.permutations import (
     _is_alternating,
     _is_biexcedent,
@@ -22,8 +23,6 @@ from eulerian.permutations import (
     FIRST_IS_N,
     LAST_IS_1,
     BudgetError,
-    Permutation,
-    StatVector,
     SUCCESSION_FREE,
     apply_operators,
     class_size,
@@ -48,7 +47,7 @@ from eulerian.permutations import (
     zeta,
 )
 
-RUNNING = Permutation((6, 4, 1, 2, 5, 3))
+RUNNING = (6, 4, 1, 2, 5, 3)
 
 perm_words = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -86,53 +85,53 @@ class TestVectors:
         assert excedance_vector(RUNNING) == (6, 3, 0, 0, 1, 0)
 
     def test_excedance_identity_marks_fixed_points(self):
-        assert excedance_vector(Permutation.identity(4)) == (1, 1, 1, 1)
+        assert excedance_vector((1, 2, 3, 4)) == (1, 1, 1, 1)
 
     def test_excedance_empty(self):
-        assert excedance_vector(Permutation(())) == ()
+        assert excedance_vector(()) == ()
 
     def test_descent_running_example(self):
         assert descent_vector(RUNNING) == (4, 0, 3, 3, 0, 0)
 
     def test_descent_identity(self):
-        assert descent_vector(Permutation.identity(3)) == brute_descent_vector((1, 2, 3)) == (0, 0, 0)
+        assert descent_vector((1, 2, 3)) == brute_descent_vector((1, 2, 3)) == (0, 0, 0)
 
     def test_descent_empty(self):
-        assert descent_vector(Permutation(())) == ()
+        assert descent_vector(()) == ()
 
     def test_rise_running_example(self):
         assert rise_vector(RUNNING) == (6, 1, 3, 0, 0, 0)
 
     def test_rise_reversed_example(self):
-        assert rise_vector(Permutation((3, 5, 2, 1, 4, 6))) == (3, 3, 0, 2, 2, 0)
+        assert rise_vector((3, 5, 2, 1, 4, 6)) == (3, 3, 0, 2, 2, 0)
 
     def test_rise_singleton(self):
-        assert rise_vector(Permutation((1,))) == brute_rise_vector((1,)) == (1,)
+        assert rise_vector((1,)) == brute_rise_vector((1,)) == (1,)
 
     @given(perm_words)
     @settings(max_examples=120, deadline=None)
     def test_descent_rise_against_brute_force(self, word):
-        p = Permutation(word)
+        p = tuple(word)
         assert descent_vector(p) == brute_descent_vector(tuple(word))
         assert rise_vector(p) == brute_rise_vector(tuple(word))
 
     def test_dprime_running_image(self):
-        tau = Permutation((4, 2, 5, 6, 1, 3))
+        tau = (4, 2, 5, 6, 1, 3)
         assert dprime_vector(tau) == (0, 0, 0, 0, 1, 0)
         assert descent_plus_certificate(tau) == (6, 3, 0, 0, 1, 0)
 
     def test_dprime_identity_all_ones(self):
         n = 5
-        assert dprime_vector(Permutation.identity(n)) == (1,) * n
+        assert dprime_vector(tuple(range(1, n + 1))) == (1,) * n
 
     def test_dprime_singleton(self):
-        assert dprime_vector(Permutation((1,))) == (1,)
+        assert dprime_vector((1,)) == (1,)
 
     def test_fixed_points_running_example(self):
         assert fixed_point_vector(RUNNING) == (0, 0, 0, 0, 1, 0)
 
     def test_fixed_points_identity(self):
-        assert fixed_point_vector(Permutation.identity(4)) == (1, 1, 1, 1)
+        assert fixed_point_vector((1, 2, 3, 4)) == (1, 1, 1, 1)
 
     def test_fixed_points_derangements_vanish(self):
         for p in enumerate_class(4, DERANGEMENT):
@@ -141,42 +140,42 @@ class TestVectors:
 
 class TestOperators:
     def test_delta_examples(self):
-        v = StatVector((6, 3, 0, 0, 1, 0))
+        v = (6, 3, 0, 0, 1, 0)
         assert delta(v) == (5, 2, 0, 0, 0)
-        assert delta(StatVector((1, 1))) == (0,)
+        assert delta((1, 1)) == (0,)
         assert delta(delta(v)) == (4, 1, 0, 0)
 
     def test_delta_prime_examples(self):
-        v = StatVector((6, 3, 0, 0, 1, 0))
+        v = (6, 3, 0, 0, 1, 0)
         assert delta_prime(v) == (3, 0, 0, 1, 0)
-        assert delta_prime(StatVector((5,))) == ()
+        assert delta_prime((5,)) == ()
         assert delta_prime(delta_prime(v)) == (0, 0, 1, 0)
 
     def test_delta_second_examples(self):
-        v = StatVector((6, 3, 0, 0, 1, 0))
+        v = (6, 3, 0, 0, 1, 0)
         assert delta_second(v) == (6, 3, 0, 0, 1)
-        assert delta_second(StatVector((5,))) == ()
+        assert delta_second((5,)) == ()
         assert delta(delta_prime(v)) == (2, 0, 0, 0)
 
     def test_lambda_examples(self):
-        assert lambda_op(StatVector((6, 3, 0, 0, 1, 0))) == (5, 2, 0, 0, 0, 0)
-        assert lambda_op(StatVector(())) == ()
-        assert lambda_op(lambda_op(StatVector((3, 1)))) == (1, 0)
+        assert lambda_op((6, 3, 0, 0, 1, 0)) == (5, 2, 0, 0, 0, 0)
+        assert lambda_op(()) == ()
+        assert lambda_op(lambda_op((3, 1))) == (1, 0)
 
     def test_empty_vector_errors(self):
         for op in (delta, delta_prime, delta_second):
             with pytest.raises(ValueError):
-                op(StatVector(()))
+                op(())
 
     def test_positive_count(self):
-        assert positive_count(StatVector((6, 3, 0, 0, 1, 0))) == 3
-        assert positive_count(StatVector(())) == 0
-        assert positive_count(StatVector((5, 2, 0, 0, 0))) == 2
+        assert positive_count((6, 3, 0, 0, 1, 0)) == 3
+        assert positive_count(()) == 0
+        assert positive_count((5, 2, 0, 0, 0)) == 2
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_operators_commute_pairwise(self, entries):
-        v = StatVector(entries)
+        v = tuple(entries)
         assert apply_operators(v, "dp") == apply_operators(v, "pd")
         assert apply_operators(v, "ds") == apply_operators(v, "sd")
         assert apply_operators(v, "ps") == apply_operators(v, "sp")
@@ -184,7 +183,7 @@ class TestOperators:
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_delta_factors_through_lambda(self, entries):
-        v = StatVector(entries)
+        v = tuple(entries)
         assert delta(v) == lambda_op(delta_second(v)) == delta_second(lambda_op(v))
 
 
@@ -194,22 +193,22 @@ class TestStructure:
         assert cycle_count(RUNNING) == 3
 
     def test_identity_orbits(self):
-        assert cycle_count(Permutation.identity(5)) == 5
-        assert signature(Permutation.identity(5)) == 1
+        assert cycle_count((1, 2, 3, 4, 5)) == 5
+        assert signature((1, 2, 3, 4, 5)) == 1
 
     def test_transposition_signature(self):
-        assert cycle_count(Permutation((2, 1))) == 1
-        assert signature(Permutation((2, 1))) == -1
+        assert cycle_count((2, 1)) == 1
+        assert signature((2, 1)) == -1
 
     def test_left_to_right_maxima(self):
         assert left_to_right_maxima((4, 2, 5, 6, 1, 3)) == (1, 3, 4)
-        assert left_to_right_maxima(Permutation.identity(4)) == (1, 2, 3, 4)
+        assert left_to_right_maxima((1, 2, 3, 4)) == (1, 2, 3, 4)
         assert left_to_right_maxima((4, 3, 2, 1)) == (1,)
 
     @given(perm_words)
     @settings(max_examples=100, deadline=None)
     def test_descent_entries_zero_or_at_least_two(self, word):
-        p = Permutation(word)
+        p = tuple(word)
         d = descent_vector(p)
         assert all(x == 0 or x >= 2 for x in d)
         if len(d):
@@ -218,7 +217,7 @@ class TestStructure:
     @given(perm_words)
     @settings(max_examples=100, deadline=None)
     def test_excedance_split(self, word):
-        p = Permutation(word)
+        p = tuple(word)
         e = excedance_vector(p)
         if len(e):
             assert positive_count(e) == positive_count(fixed_point_vector(p)) + positive_count(delta(e))
@@ -226,7 +225,7 @@ class TestStructure:
 
 class TestClasses:
     def test_section_table_membership(self):
-        p = Permutation((2, 1, 4, 3))
+        p = (2, 1, 4, 3)
         assert is_in_class(p, BIEXCEDENT)
         assert is_in_class(p, ALTERNATING)
 
@@ -266,7 +265,7 @@ class TestClasses:
 
     def test_r_tail_ordered_validation(self):
         with pytest.raises(ValueError):
-            is_in_class(Permutation((1, 2)), r_tail_ordered(5))
+            is_in_class((1, 2), r_tail_ordered(5))
 
     def test_budget_errors(self):
         with pytest.raises(BudgetError):
@@ -325,7 +324,8 @@ class TestClasses:
         assert zeta(1) == (1,)
 
     def test_permutation_validation(self):
+        # words are bare tuples; outside input is validated where it is parsed
         with pytest.raises(ValueError):
-            Permutation((1, 1))
+            parse_permutation("1 1")
         with pytest.raises(ValueError):
-            Permutation((0, 1))
+            parse_permutation("0 1")

@@ -409,8 +409,9 @@ def test_row_caches_need_no_recursion():
 import sys
 from math import comb, factorial
 sys.setrecursionlimit(150)
-from eulerian.polynomials import eulerian_triangle_recurrence, stirling2
+from eulerian.polynomials import _TRIANGLE_ROWS, eulerian_triangle_recurrence, stirling2
 assert sum(eulerian_triangle_recurrence(300, 1).coeffs) == factorial(300)
+assert sorted(_TRIANGLE_ROWS) == [(299, 1), (300, 1)], sorted(_TRIANGLE_ROWS)
 explicit = sum((-1) ** j * comb(7, j) * (7 - j) ** 300 for j in range(8)) // factorial(7)
 assert stirling2(300, 7) == explicit
 """
