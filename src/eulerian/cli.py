@@ -165,7 +165,9 @@ def _registry() -> tuple[Declaration, ...]:
             _agree(
                 poly.eulerian_triangle_recurrence,
                 enumeration=poly.eulerian_by_enumeration,
-                shift_recurrence=poly.eulerian_shift_recurrence,
+                # at r = 1 < n the climb starts from, and so returns, the
+                # first route's own column: no comparison would be made
+                shift_recurrence=lambda n, r: None if r == 1 < n else poly.eulerian_shift_recurrence(n, r),
                 # the EGF extraction and the explicit sum start at shift 1
                 egf_extraction=lambda n, r: ser.eulerian_from_egf(n, r) if r else None,
                 explicit_sum=lambda n, r: poly.eulerian_explicit(n, r) if r else None,
@@ -246,7 +248,9 @@ def _registry() -> tuple[Declaration, ...]:
         Declaration("series", "exponential-formula", _exponential_formulas, _ORDER_10, _SERIES_SWEEP),
         Declaration(
             "series", "exponential-formula-fixed-point-split",
-            lambda order: _both_identities(ser.check_exponential_formula(ser.fixed_point_split_weight, order)),
+            lambda order: _both_identities(
+                ser.exponential_formula_bundle({"weight": ser.fixed_point_split_weight}, order)["weight"]
+            ),
             [{"order": range(8)}], _SERIES_SWEEP,
         ),
         Declaration(
@@ -500,7 +504,15 @@ def _poly_for(family: str, n: int, r: int) -> Poly:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _lift_digit_limit() -> None:
+    # a valid poly or series query may print integers longer than CPython's
+    # int-to-str digit limit (3.11+); commands that parse a word keep it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _cmd_poly(args) -> int:
+    _lift_digit_limit()
     p = _poly_for(args.family, args.n, args.r)
     coeffs = [str(c) for c in p.coeffs]
     if args.format == "json":
@@ -513,6 +525,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    _lift_digit_limit()
     if args.t is not None and args.which in ("tan", "sec"):
         raise ValueError(f"--t applies to the EGF series only, not {args.which}")
     order = args.order

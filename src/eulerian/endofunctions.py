@@ -3,7 +3,7 @@ Self-maps of {1..n}: connected-component structure, the canonical
 factorization into connected factors on relabelled domains, and exhaustive
 counts of tree-like map classes.
 
-A map f is stored as its image word (f(1), ..., f(n)). Two points are
+A map f is its image word (f(1), ..., f(n)), a plain tuple. Two points are
 equivalent when some forward iterates of f meet; the classes of that
 equivalence are the sub-domains of f, and f is connected when there is a
 single class. For a permutation the sub-domains are exactly the orbits.
@@ -16,27 +16,10 @@ from typing import Iterable
 from .permutations import DEFAULT_MAP_SCAN_BUDGET, check_budget
 
 
-class FunctionMap(tuple):
-    """Image word of a map {1..n} -> {1..n}; no bijectivity required."""
-
-    def __new__(cls, image: Iterable[int] = ()):
-        image = tuple(image)
-        n = len(image)
-        for v in image:
-            if not 1 <= v <= n:
-                raise ValueError(f"image value {v} outside 1..{n}: {image!r}")
-        return tuple.__new__(cls, image)
-
-    @property
-    def n(self) -> int:
-        return len(self)
-
-    def __call__(self, k: int) -> int:
-        return self[k - 1]
-
-
-def trusted_map(image: Iterable[int]) -> FunctionMap:
-    return tuple.__new__(FunctionMap, tuple(image))
+def trusted_map(image: Iterable[int]) -> tuple[int, ...]:
+    """The image word as a plain tuple. Nothing in the package calls this;
+    it stays only because perfbench/layers.py builds its maps with it."""
+    return tuple(image)
 
 
 def subdomains(f) -> tuple[tuple[int, ...], ...]:
@@ -66,27 +49,21 @@ def subdomains(f) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for g in groups)
 
 
-def connected_count(f) -> int:
-    """Number of sub-domains, written z(f)."""
-    return len(subdomains(f))
-
-
-def is_connected(f) -> bool:
-    return connected_count(f) == 1
-
-
-def canonical_factorization(f) -> tuple[tuple[FunctionMap, tuple[int, ...]], ...]:
+def canonical_factorization(f) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Pairs (factor, sub-domain), sub-domains by smallest element.
 
     Each factor is the restriction of f to one sub-domain, conjugated onto
     {1..card} by the unique increasing relabelling; factors are connected,
     and the relabelling preserves the sign of f(i) - i pointwise, so
     excedances, fixed points and deficiencies survive the factorization.
+
+    >>> canonical_factorization((6, 4, 1, 2, 5, 3))
+    (((3, 1, 2), (1, 3, 6)), ((2, 1), (2, 4)), ((1,), (5,)))
     """
     out = []
     for dom in subdomains(f):
         rank = {v: i for i, v in enumerate(dom, start=1)}
-        out.append((trusted_map(rank[f[v - 1]] for v in dom), dom))
+        out.append((tuple([rank[f[v - 1]] for v in dom]), dom))
     return tuple(out)
 
 
@@ -132,11 +109,8 @@ def count_class_functions(n: int, kind: str) -> int:
 
 
 __all__ = [
-    "FunctionMap",
     "canonical_factorization",
-    "connected_count",
     "count_class_functions",
-    "is_connected",
     "subdomains",
     "trusted_map",
 ]

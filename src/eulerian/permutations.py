@@ -77,16 +77,6 @@ def delta_power(v, r: int) -> tuple[int, ...]:
     return tuple([x - r if x > r else 0 for x in v[: len(v) - r]])
 
 
-def apply_operators(v, ops: str) -> tuple[int, ...]:
-    """Apply a word over {'d', 'p', 's', 'l'} (delta, delta', delta'', lambda),
-    leftmost letter applied last, matching operator composition order."""
-    table = {"d": delta, "p": delta_prime, "s": delta_second, "l": lambda_op}
-    out = tuple(v)
-    for ch in reversed(ops):
-        out = table[ch](out)
-    return out
-
-
 def positive_count(v) -> int:
     """Number of strictly positive entries."""
     return sum(1 for x in v if x > 0)
@@ -444,11 +434,6 @@ def class_size(n: int, tag: ClassTag) -> int:
     return sum(1 for _ in enumerate_class(n, tag))
 
 
-def zeta(n: int) -> tuple[int, ...]:
-    """The cycle (2, 3, ..., n, 1) sending n to 1 and k to k+1 below n."""
-    return tuple(range(2, n + 1)) + (1,) if n else ()
-
-
 __all__ = [
     "ALL",
     "ALTERNATING",
@@ -462,7 +447,6 @@ __all__ = [
     "FIRST_IS_N",
     "LAST_IS_1",
     "SUCCESSION_FREE",
-    "apply_operators",
     "check_budget",
     "class_size",
     "cycle_count",
@@ -485,5 +469,4 @@ __all__ = [
     "r_tail_ordered",
     "rise_vector",
     "signature",
-    "zeta",
 ]

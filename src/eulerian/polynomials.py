@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import permutations as perms
 from .permutations import DEFAULT_PERM_BUDGET, check_budget
@@ -459,23 +459,6 @@ def worpitzky_generalized(m: int, n: int, r: int) -> Identity:
     return Identity(lhs == rhs, lhs, rhs)
 
 
-def count_monotone_maps(m: int, n: int, distinguished: Sequence[int]) -> int:
-    """Exhaustive count of weakly increasing maps {1..n} -> {1..m} that are
-    strict except possibly at the distinguished adjacent indices; the count
-    equals binomial(m + s, n) for s distinguished indices."""
-    dist = set(distinguished)
-    if not dist <= set(range(1, n)):
-        raise ValueError("distinguished indices must lie in 1..n-1")
-    s = len(dist)
-    if not 0 <= s < n <= m + s:
-        raise ValueError("need 0 <= s < n <= m + s")
-    count = 0
-    for phi in itertools.combinations_with_replacement(range(1, m + 1), n):
-        if all(phi[i - 1] != phi[i] or i in dist for i in range(1, n)):
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Newcomb specialization and further interpretations
 
@@ -736,7 +719,6 @@ __all__ = [
     "check_reciprocal_descent_interpretation",
     "check_symmetry",
     "comb0",
-    "count_monotone_maps",
     "eulerian_at_minus_one",
     "eulerian_by_enumeration",
     "eulerian_coefficient_explicit",

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import permutations as perms
-from .endofunctions import count_class_functions, trusted_map
+from .endofunctions import count_class_functions
 from .permutations import DEFAULT_PERM_BUDGET, check_budget
 from .polynomials import (
     Identity,
@@ -567,7 +567,7 @@ def _cycle_table(fns: Sequence[Callable], order: int, top: list) -> list[list[li
 
     def grow(image: list[int]) -> None:
         m = len(image)
-        factor = trusted_map(image)
+        factor = tuple(image)
         if m == order:
             for i, fn in enumerate(fns):
                 top[i] += fn(factor)
@@ -724,20 +724,11 @@ def exponential_formula_bundle(
     return out
 
 
-def check_exponential_formula(
-    factor_weight: Callable[[Sequence[int]], object], order: int
-) -> tuple[Identity, Identity]:
-    """Single-weight form of :func:`exponential_formula_bundle`."""
-    return exponential_formula_bundle({"weight": factor_weight}, order)["weight"]
-
-
 def check_cycle_weighted_power(r: int, order: int) -> Identity:
     """With the fixed-point-split weight boosted by r**cycles (integer r),
     the weighted EGF is the r-th power of the mixed closed form. The boost
     is r on every factor: r**cycles * prod w(g) = prod r * w(g)."""
-    (sums,), _signed = weighted_permutation_sums(
-        [lambda g: r * fixed_point_split_weight(tuple(g))], order
-    )
+    (sums,), _signed = weighted_permutation_sums([lambda g: r * fixed_point_split_weight(g)], order)
     lhs = TruncSeries(order, sums)
     rhs = mixed_egf_closed_form(order) ** r
     return series_identity(lhs, rhs)
@@ -877,7 +868,6 @@ __all__ = [
     "check_bernoulli_ode",
     "check_convolution_recurrence",
     "check_cycle_weighted_power",
-    "check_exponential_formula",
     "check_fixed_point_split_relations",
     "check_mixed_egf_closed_form",
     "check_mixed_egf_exponential_form",

@@ -57,11 +57,6 @@ def render_word(word: Word) -> str:
     return "".join(_RENDER[x] for x in word)
 
 
-def parse_word(text: str) -> Word:
-    rev = {v: k for k, v in _RENDER.items()}
-    return tuple(rev[ch] for ch in text)
-
-
 def valley_word(p: tuple[int, ...]) -> Word:
     """Word of a permutation whose first letter is its size (n >= 2), with
     the wraparound convention that position n is compared against n itself.
@@ -281,7 +276,6 @@ __all__ = [
     "check_valley_expansion",
     "euler_numbers",
     "nabla",
-    "parse_word",
     "render_word",
     "valley_word",
     "word_multiset",

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import time
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import eulerian.cli as cli_mod
 from eulerian import permutations as perms
+from eulerian import polynomials as poly
 from eulerian import transforms as tr
 from eulerian.cli import (
     _MAPS,
@@ -147,6 +149,14 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["coeffs"] == ["1", "120", "1191", "2416", "1191", "120", "1"]
 
+    def test_poly_beyond_the_int_digit_limit(self, capsys):
+        # 1600! has 4434 digits, past CPython's default int-to-str limit,
+        # which the command lifts for the process
+        assert main(["poly", "eulerian", "-n", "1600", "-r", "1500", "--format", "csv"]) == 0
+        coeffs = [int(c) for c in capsys.readouterr().out.split(",")]
+        assert len(coeffs) == 101
+        assert sum(coeffs) == factorial(1600)
+
     def test_series_command(self, capsys):
         assert main(["series", "tan", "--order", "7"]) == 0
         assert capsys.readouterr().out.strip() == "0 1 0 1/3 0 2/15 0 17/315"
@@ -230,6 +240,17 @@ class TestVerify:
         check = cli_mod._agree(lambda n: n, same=lambda n: n, not_here=lambda n: None, off=lambda n: n + 1)
         assert check(n=2) == Identity(False, 3, 2, "route off")
         assert cli_mod._agree(lambda n: n, not_here=lambda n: None)(n=2).ok
+
+    def test_shift_recurrence_route_never_returns_the_first_route(self, monkeypatch):
+        # at r = 1 < n the climb would return eulerian_polynomial(n), the
+        # first route's own value, so the route must not be asked there
+        calls = []
+        climb = poly.eulerian_shift_recurrence
+        monkeypatch.setattr(poly, "eulerian_shift_recurrence", lambda n, r: calls.append((n, r)) or climb(n, r))
+        assert main(["verify", "chapter2"]) == 0
+        assert [(n, r) for n, r in calls if r == 1 < n] == []
+        # every other point of cross-method-tables still asks the route
+        assert {(n, r) for n in range(1, 9) for r in range(n + 1) if not r == 1 < n} <= set(calls)
 
     def test_budget_error_is_a_skip(self, capsys, monkeypatch):
         def over_budget():

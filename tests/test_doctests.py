@@ -9,8 +9,10 @@ import eulerian
 
 MODULES = ["eulerian"] + sorted(m.name for m in pkgutil.iter_modules(eulerian.__path__, "eulerian."))
 # the modules that show a worked example: the kernels, the fundamental
-# transformation, Poly and the valley word
-WITH_EXAMPLES = {f"eulerian.{name}" for name in ("permutations", "transforms", "polynomials", "words")}
+# transformation, the canonical factorization, Poly and the valley word
+WITH_EXAMPLES = {
+    f"eulerian.{name}" for name in ("permutations", "transforms", "endofunctions", "polynomials", "words")
+}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,14 +7,7 @@ import itertools
 
 import pytest
 
-from eulerian.endofunctions import (
-    FunctionMap,
-    canonical_factorization,
-    connected_count,
-    count_class_functions,
-    is_connected,
-    subdomains,
-)
+from eulerian.endofunctions import canonical_factorization, count_class_functions, subdomains
 from eulerian.permutations import BudgetError, excedance_vector
 
 
@@ -37,21 +30,21 @@ def literal_arborescence(word):
 
 class TestFactorization:
     def test_permutation_factors_are_relabelled_cycles(self):
-        f = FunctionMap((6, 4, 1, 2, 5, 3))
+        f = (6, 4, 1, 2, 5, 3)
         factors = canonical_factorization(f)
         assert [dom for _, dom in factors] == [(1, 3, 6), (2, 4), (5,)]
         assert [len(g) for g, _ in factors] == [3, 2, 1]
-        assert all(is_connected(g) for g, _ in factors)
+        assert all(len(subdomains(g)) == 1 for g, _ in factors)
 
     def test_constant_map_single_factor(self):
-        f = FunctionMap((1, 1, 1, 1))
-        assert connected_count(f) == 1
+        f = (1, 1, 1, 1)
+        assert len(subdomains(f)) == 1
         ((g, dom),) = canonical_factorization(f)
         assert dom == (1, 2, 3, 4)
         assert tuple(g) == (1, 1, 1, 1)
 
     def test_identity_map_factors(self):
-        f = FunctionMap((1, 2, 3))
+        f = (1, 2, 3)
         factors = canonical_factorization(f)
         assert len(factors) == 3
         assert all(tuple(g) == (1,) for g, _ in factors)
@@ -59,18 +52,17 @@ class TestFactorization:
     def test_factors_preserve_excedance_pattern(self):
         # the increasing relabelling keeps the sign of f(i) - i pointwise
         for word in itertools.product(range(1, 5), repeat=4):
-            f = FunctionMap(word)
-            for g, dom in canonical_factorization(f):
+            for g, dom in canonical_factorization(word):
                 for local, orig in enumerate(dom, start=1):
-                    lhs = (f(orig) > orig) - (f(orig) < orig)
-                    rhs = (g(local) > local) - (g(local) < local)
+                    lhs = (word[orig - 1] > orig) - (word[orig - 1] < orig)
+                    rhs = (g[local - 1] > local) - (g[local - 1] < local)
                     assert lhs == rhs
 
     def test_permutation_factor_excedances_sum(self):
         p = (6, 4, 1, 2, 5, 3)
         total = sum(
             sum(1 for k, v in enumerate(g, start=1) if v > k)
-            for g, _ in canonical_factorization(FunctionMap(p))
+            for g, _ in canonical_factorization(p)
         )
         strict = sum(1 for k, v in enumerate(p, start=1) if v > k)
         assert total == strict == 2
@@ -81,12 +73,6 @@ class TestFactorization:
             doms = subdomains(word)
             flat = sorted(x for d in doms for x in d)
             assert flat == [1, 2, 3]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FunctionMap((0, 1))
-        with pytest.raises(ValueError):
-            FunctionMap((3,))
 
 
 class TestCounts:

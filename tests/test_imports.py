@@ -1,12 +1,15 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unreferenced. The package re-exports through
+"""No module of the package imports a name it never uses, no private
+module-level name goes unreferenced, and every public one is used by the
+package or named by the README. The package re-exports through
 ``__init__.py``, which the import check leaves out."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "eulerian"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "eulerian"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -44,15 +47,14 @@ def _own_names(stmt: ast.stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level ``_function``, ``_Class`` and ``_CONSTANT`` names that no
-    statement of the package references, apart from their own definition."""
+def _unreferenced_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level names, dunders aside, that no statement of the package
+    references apart from their own definition."""
     defined, referenced = [], set()
     for module, tree in trees.items():
         for stmt in tree.body:
             own = _own_names(stmt)
-            private = (name for name in sorted(own) if name.startswith("_") and not name.startswith("__"))
-            defined.extend(f"{module}:{name}" for name in private)
+            defined.extend(f"{module}:{name}" for name in sorted(own) if not name.startswith("__"))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
@@ -67,6 +69,21 @@ def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
     return [entry for entry in defined if entry.split(":")[1] not in referenced]
 
 
+def _unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Unreferenced ``_function``, ``_Class`` and ``_CONSTANT`` names."""
+    return [entry for entry in _unreferenced_names(trees) if entry.split(":")[1].startswith("_")]
+
+
+def _unused_public_names(trees: dict[str, ast.Module], readme: str) -> list[str]:
+    """Unreferenced public names that the README does not name in code
+    either: API that only the tests call."""
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", readme))))
+    return [
+        entry for entry in _unreferenced_names(trees)
+        if not entry.split(":")[1].startswith("_") and entry.split(":")[1] not in named
+    ]
+
+
 def test_no_unreferenced_private_names():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced_private_names(trees) == []
@@ -78,9 +95,26 @@ def test_an_unreferenced_private_name_is_reported():
         "def _used(x):\n    return _used(x - 1) if x else _ONE\n"
         "def _dead(c):\n    return _dead(c)\n"
         "class _Gone:\n    pass\n"
+        "def documented():\n    return _used(2)\n"
+        "def dead():\n    return dead()\n"
+        "class Gone:\n    pass\n"
         "print(_used(2))\n"
     )
-    assert _unreferenced_private_names({"m.py": ast.parse(source)}) == ["m.py:_dead", "m.py:_Gone"]
+    trees = {"m.py": ast.parse(source)}
+    assert _unreferenced_private_names(trees) == ["m.py:_dead", "m.py:_Gone"]
+    # a public name also counts as used when the README names it in code
+    readme = "Call `documented()`; a dead word outside code does not count."
+    assert _unused_public_names(trees, readme) == ["m.py:dead", "m.py:Gone"]
+
+
+# perfbench/layers.py:112 builds its maps with trusted_map; ROADMAP item 1
+# deletes both together
+TEST_ONLY_API = ["endofunctions.py:trusted_map"]
+
+
+def test_no_public_name_only_the_tests_use():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _unused_public_names(trees, (ROOT / "README.md").read_text()) == TEST_ONLY_API
 
 
 def _single_argument_permutations(tree: ast.Module) -> list[int]:

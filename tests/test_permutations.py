@@ -24,7 +24,7 @@ from eulerian.permutations import (
     LAST_IS_1,
     BudgetError,
     SUCCESSION_FREE,
-    apply_operators,
+    check_budget,
     class_size,
     cycle_count,
     delta,
@@ -44,7 +44,6 @@ from eulerian.permutations import (
     r_tail_ordered,
     rise_vector,
     signature,
-    zeta,
 )
 
 RUNNING = (6, 4, 1, 2, 5, 3)
@@ -176,9 +175,9 @@ class TestOperators:
     @settings(max_examples=100, deadline=None)
     def test_operators_commute_pairwise(self, entries):
         v = tuple(entries)
-        assert apply_operators(v, "dp") == apply_operators(v, "pd")
-        assert apply_operators(v, "ds") == apply_operators(v, "sd")
-        assert apply_operators(v, "ps") == apply_operators(v, "sp")
+        assert delta(delta_prime(v)) == delta_prime(delta(v))
+        assert delta(delta_second(v)) == delta_second(delta(v))
+        assert delta_prime(delta_second(v)) == delta_second(delta_prime(v))
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -276,6 +275,12 @@ class TestClasses:
         with pytest.raises(BudgetError):
             enumerate_class(11, CIRCULAR)
 
+    def test_budget_boundary(self):
+        # a size equal to the limit fits; one more does not
+        assert check_budget(10, 10, "sweep") is None
+        with pytest.raises(BudgetError, match="sweep at n=11"):
+            check_budget(11, 10, "sweep")
+
     @pytest.mark.parametrize(
         "tag, pred, ordered",
         [
@@ -318,10 +323,6 @@ class TestClasses:
         words = [tuple(p) for p in enumerate_class(4, ALL)]
         assert words == sorted(words)
         assert len(words) == 24
-
-    def test_zeta(self):
-        assert zeta(6) == (2, 3, 4, 5, 6, 1)
-        assert zeta(1) == (1,)
 
     def test_permutation_validation(self):
         # words are bare tuples; outside input is validated where it is parsed

@@ -4,6 +4,7 @@ Stirling numbers, Worpitzky summations, and the joint polynomials.
 Expected values either come straight from the printed coefficient tables or
 are frozen from brute-force oracles written in this file.
 """
+import itertools
 import os
 import subprocess
 import sys
@@ -28,7 +29,6 @@ from eulerian.polynomials import (
     check_reciprocal_descent_interpretation,
     check_symmetry,
     comb0,
-    count_monotone_maps,
     eulerian_at_minus_one,
     eulerian_by_enumeration,
     eulerian_coefficient_explicit,
@@ -119,6 +119,22 @@ def partitions_into_blocks(p, q):
         return total
 
     return rec(1, [])
+
+
+def count_monotone_maps(m, n, distinguished):
+    """Brute-force oracle: weakly increasing maps {1..n} -> {1..m} that are
+    strict except possibly at the distinguished adjacent indices; the count
+    equals binomial(m + s, n) for s distinguished indices."""
+    dist = set(distinguished)
+    if not dist <= set(range(1, n)):
+        raise ValueError("distinguished indices must lie in 1..n-1")
+    s = len(dist)
+    if not 0 <= s < n <= m + s:
+        raise ValueError("need 0 <= s < n <= m + s")
+    return sum(
+        all(phi[i - 1] != phi[i] or i in dist for i in range(1, n))
+        for phi in itertools.combinations_with_replacement(range(1, m + 1), n)
+    )
 
 
 class TestPoly:

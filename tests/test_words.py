@@ -24,13 +24,18 @@ from eulerian.words import (
     check_valley_expansion,
     euler_numbers,
     nabla,
-    parse_word,
     render_word,
     valley_word,
     word_multiset,
 )
 
 EULER_TABLE = (1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765, 22368256, 199360981)
+
+
+def parse_word(text):
+    """The inverse of render_word."""
+    letters = {render_word((x,)): x for x in Letter}
+    return tuple(letters[ch] for ch in text)
 
 
 class TestValleyWord:
@@ -151,6 +156,12 @@ class TestEulerNumbers:
 
     def test_enumeration_route(self):
         assert euler_numbers(8, "enumeration") == EULER_TABLE[:8]
+
+    @pytest.mark.parametrize("mode", ("enumeration", "c_triangle", "series"))
+    def test_smallest_sizes(self, mode):
+        assert euler_numbers(0, mode) == ()
+        assert euler_numbers(1, mode) == (1,)
+        assert euler_numbers(2, mode) == (1, 1)
 
     def test_budget(self):
         from eulerian.permutations import BudgetError
