@@ -15,14 +15,15 @@ Conventions
 * Descent and rise vectors hard-code the boundary values
   sigma(0) = sigma^(-1)(0) = sigma(n+1) = 0.
 
-Every function is pure and returns immutable values, so everything here is
-safe to share across threads.
+Every function is pure and returns immutable values or a fresh iterator or
+Counter, so everything here is safe to share across threads.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import add, getitem
 from typing import Callable, Iterator
 
 DEFAULT_PERM_BUDGET = 10
@@ -430,6 +431,27 @@ def enumerate_class(
     return generate(n) if generate else filter(pred, itertools.permutations(range(1, n + 1)))
 
 
+def position_sum_counts(n: int, weight) -> Counter:
+    """How many words w of S_n reach each total of weight[i][w[i] - 1] over
+    the positions i; weight is an n-by-n table. The sums of the last
+    ceil(n/2) letters are tabled once, and each of the n! words is still
+    generated and looked up one at a time, at C speed."""
+    check_budget(n, DEFAULT_PERM_BUDGET, "position-sum sweep")
+    head = n - (n + 1) // 2
+    suffix_rows = weight[head:]
+    suffix_sum = {
+        s: sum(map(getitem, suffix_rows, s)) for s in itertools.permutations(range(n), n - head)
+    }.__getitem__
+    counts: Counter = Counter()
+    for chosen in itertools.combinations(range(n), head):
+        rest = [v for v in range(n) if v not in chosen]
+        for prefix in itertools.permutations(chosen):
+            base = sum(map(getitem, weight, prefix))  # map stops at the end of the prefix
+            for total, c in Counter(map(suffix_sum, itertools.permutations(rest))).items():
+                counts[base + total] += c
+    return counts
+
+
 def class_size(n: int, tag: ClassTag) -> int:
     return sum(1 for _ in enumerate_class(n, tag))
 
@@ -465,6 +487,7 @@ __all__ = [
     "left_to_right_maxima",
     "ltr_maximum_count",
     "orbits",
+    "position_sum_counts",
     "positive_count",
     "r_tail_ordered",
     "rise_vector",

@@ -297,15 +297,10 @@ def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Po
         raise ValueError("shift must be nonnegative")
     if r >= n:
         return Poly((factorial(n),))
-    counts = [0] * (n + 1)
     if stat == "delta_excedance":
-        for word in perms.enumerate_class(n):
-            c = 0
-            for k in range(n - r):
-                if word[k] >= k + 1 + r:
-                    c += 1
-            counts[c] += 1
-        return Poly(counts)
+        # entry i + 1 of the lowered vector is positive when the value there is j + 1 >= i + 1 + r
+        totals = perms.position_sum_counts(n, [[int(i < n - r and j >= i + r) for j in range(n)] for i in range(n)])
+        return Poly(totals[c] for c in range(n + 1))
     if stat == "descent" and r == 0:
         raise ValueError("the descent statistic needs r >= 1")
     op: Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -327,6 +322,7 @@ def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Po
     else:  # first_letter_descent
         tag, size, vec = perms.FIRST_IS_N, n + 1, perms.descent_vector
         op = lambda v: perms.delta(v)[r:]
+    counts = [0] * (n + 1)
     for p in perms.enumerate_class(size, tag):
         counts[perms.positive_count(op(vec(p)))] += 1
     return Poly(counts)
@@ -478,24 +474,13 @@ def newcomb_specialization(n: int, r: int) -> Identity:
 
 @lru_cache(maxsize=None)
 def _roselle_counts(n: int, via: str) -> tuple[int, ...]:
-    # the derangement route sweeps all of S_n and breaks at the first fixed
-    # point: faster than the derangement class, which filters S_n anyway
-    derangements = via == "excedance_derangements"
-    words = perms.enumerate_class(n, perms.ALL if derangements else perms.SUCCESSION_FREE)
+    if via == "excedance_derangements":
+        # a fixed point weighs -n and outweighs any word's excedances: only derangements total >= 0
+        totals = perms.position_sum_counts(n, [[-n if j == i else int(j > i) for j in range(n)] for i in range(n)])
+        return tuple(totals[e] for e in range(n + 1))
     counts = [0] * (n + 1)
-    if derangements:
-        for word in words:
-            c = 0
-            for k, v in enumerate(word, start=1):
-                if v == k:
-                    break
-                if v > k:
-                    c += 1
-            else:
-                counts[c] += 1
-    else:
-        for p in words:
-            counts[perms.positive_count(perms.rise_vector(p))] += 1
+    for p in perms.enumerate_class(n, perms.SUCCESSION_FREE):
+        counts[perms.positive_count(perms.rise_vector(p))] += 1
     return tuple(counts)
 
 
@@ -511,18 +496,9 @@ def roselle_polynomial(n: int, via: str = "excedance_derangements") -> Poly:
 
 @lru_cache(maxsize=None)
 def _fix_exc_counts(n: int) -> tuple[tuple[int, ...], ...]:
-    # counts[f][e]: permutations with f fixed points and e strict excedances
-    words = perms.enumerate_class(n)
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for word in words:
-        fix = exc = 0
-        for k, v in enumerate(word, start=1):
-            if v == k:
-                fix += 1
-            elif v > k:
-                exc += 1
-        counts[fix][exc] += 1
-    return tuple(tuple(row) for row in counts)
+    # [f][e]: the words with f fixed points and e strict excedances, which total f * (n + 1) + e
+    totals = perms.position_sum_counts(n, [[n + 1 if j == i else int(j > i) for j in range(n)] for i in range(n)])
+    return tuple(tuple(totals[f * (n + 1) + e] for e in range(n + 1)) for f in range(n + 1))
 
 
 def abar_polynomial(n: int) -> Poly:
@@ -689,6 +665,7 @@ def check_mixed_specializations(n: int) -> Identity:
     """The joint fixed-point/excedance polynomial specializes to the 0-shift,
     classical, and derangement polynomials at outer values t, 1, 0."""
     bar = abar_polynomial(n)
+    # bar.eval(0) and roselle_polynomial share the position-sum sweep, not its weights
     ok = (
         bar.eval(T) == eulerian_shift_recurrence(n, 0)
         and bar.eval(1) == eulerian_polynomial(n)

@@ -40,6 +40,7 @@ from eulerian.permutations import (
     lambda_op,
     left_to_right_maxima,
     orbits,
+    position_sum_counts,
     positive_count,
     r_tail_ordered,
     rise_vector,
@@ -330,3 +331,35 @@ class TestClasses:
             parse_permutation("1 1")
         with pytest.raises(ValueError):
             parse_permutation("0 1")
+
+
+def per_word_position_sums(n, weight):
+    """The reference for `position_sum_counts`: add up each word's weights
+    one word at a time."""
+    counts = {}
+    for word in enumerate_class(n):
+        total = sum(weight[i][v - 1] for i, v in enumerate(word))
+        counts[total] = counts.get(total, 0) + 1
+    return counts
+
+
+weight_tables = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestPositionSumCounts:
+    @given(weight_tables)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_word_sums(self, weight):
+        assert dict(position_sum_counts(len(weight), weight)) == per_word_position_sums(len(weight), weight)
+
+    def test_every_word_is_counted_apart(self):
+        # weights that spell out the word in base n + 1 give each word its
+        # own total, so every count is 1 and the totals number n!
+        for n in range(8):
+            weight = [[(j + 1) * (n + 1) ** i for j in range(n)] for i in range(n)]
+            counts = position_sum_counts(n, weight)
+            assert set(counts.values()) <= {1} and len(counts) == factorial(n)

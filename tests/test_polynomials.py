@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian import polynomials
+from eulerian.permutations import enumerate_class
 from eulerian.polynomials import (
     Identity,
     Poly,
@@ -135,6 +136,38 @@ def count_monotone_maps(m, n, distinguished):
         all(phi[i - 1] != phi[i] or i in dist for i in range(1, n))
         for phi in itertools.combinations_with_replacement(range(1, m + 1), n)
     )
+
+
+def fix_exc_counts_per_word(n):
+    """The reference for the fixed-point/excedance histogram: counts[f][e]
+    words of S_n with f fixed points and e strict excedances, one word at a
+    time."""
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for word in enumerate_class(n):
+        fix = exc = 0
+        for k, v in enumerate(word, start=1):
+            if v == k:
+                fix += 1
+            elif v > k:
+                exc += 1
+        counts[fix][exc] += 1
+    return tuple(tuple(row) for row in counts)
+
+
+def derangement_excedances_per_word(n):
+    """The reference for the derangement route of the Roselle polynomial:
+    each word of S_n is read up to its first fixed point."""
+    counts = [0] * (n + 1)
+    for word in enumerate_class(n):
+        c = 0
+        for k, v in enumerate(word, start=1):
+            if v == k:
+                break
+            if v > k:
+                c += 1
+        else:
+            counts[c] += 1
+    return tuple(counts)
 
 
 class TestPoly:
@@ -323,6 +356,13 @@ class TestInterpretations:
             assert a.eval(1) == derangements
             if n <= 7:
                 assert a == roselle_polynomial(n, "rises_succession_free")
+
+    def test_position_sum_routes_match_per_word_loops(self):
+        for n in range(10):
+            assert polynomials._fix_exc_counts(n) == fix_exc_counts_per_word(n), n
+            assert polynomials._roselle_counts(n, "excedance_derangements") == (
+                derangement_excedances_per_word(n)
+            ), n
 
     def test_abar_small(self):
         assert abar_polynomial(1) == Poly((0, 1))

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian.permutations import (
+    CIRCULAR,
     DERANGEMENT,
     LAST_IS_1,
     SUCCESSION_FREE,
     delta,
+    descent_plus_certificate,
     descent_vector,
     enumerate_class,
     excedance_vector,
+    is_in_class,
     orbits,
     rise_vector,
 )
@@ -199,6 +202,31 @@ class TestComposites:
     def test_circular_embedding_statistics(self):
         for n in (2, 5, 6):
             assert check_circular_embedding(n).ok
+
+
+class TestLargeWords:
+    """The transported statistics on single words of size 50 to 500, far
+    beyond the exhaustive sweeps."""
+
+    @given(large_perms)
+    @settings(max_examples=30, deadline=None)
+    def test_fundamental_carries_excedances_to_descents(self, word):
+        p = tuple(word)
+        assert excedance_vector(p) == descent_plus_certificate(fundamental(p))
+
+    @given(large_perms)
+    @settings(max_examples=30, deadline=None)
+    def test_excedance_to_rise(self, word):
+        p = tuple(word)
+        assert excedance_vector(p) == rise_vector(excedance_to_rise(p))
+
+    @given(large_perms)
+    @settings(max_examples=30, deadline=None)
+    def test_to_circular_lands_in_the_circular_class(self, word):
+        p = tuple(word)
+        image = to_circular(p)
+        assert is_in_class(image, CIRCULAR)
+        assert excedance_vector(p) == delta(excedance_vector(image))
 
 
 class TestCertifications:
