@@ -33,6 +33,7 @@ class CheckResult:
     status: str  # "pass", "fail", or "skip" when a budget ruled the check out
     witness: str = ""
     elapsed: float = 0.0  # seconds of the point, shared by all its identities
+    swept: dict[str, int] = field(default_factory=dict)  # each budget the point uses, from the registry
 
     @property
     def ok(self) -> bool:
@@ -333,7 +334,8 @@ def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Re
                     checked.append((ident, "pass" if res.ok else "fail", witness))
             took = time.perf_counter() - tick
             points.append((took, f"{prefix}{decl.name} [{params}]"))
-            results.extend(CheckResult(prefix + ident, params, status, witness, took) for ident, status, witness in checked)
+            swept = {b: size(point) for b, size in decl.uses.items()}
+            results.extend(CheckResult(prefix + ident, params, status, witness, took, swept) for ident, status, witness in checked)
     results.sort(key=lambda r: (r.identity, r.params))
     return Report(suite, results, time.perf_counter() - start, points)
 

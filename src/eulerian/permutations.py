@@ -281,13 +281,10 @@ def _is_alternating(word) -> bool:
 
 
 def _is_biexcedent(word) -> bool:
-    n = len(word)
-    pos = [0] * (n + 1)
-    for j, v in enumerate(word, start=1):
-        pos[v] = j
-    for j in range(1, n + 1):
-        v, w = word[j - 1], pos[j]
-        if not ((j < v and j < w) or (j > v and j > w)):
+    # each point j must lie below both its image and its preimage, or above
+    # both: along every arrow i -> j, j != i and j < word[j] exactly when j < i
+    for i, j in enumerate(word, start=1):
+        if j == i or (j < word[j - 1]) != (j < i):
             return False
     return True
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
-from typing import Callable, Iterable, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import permutations as perms
 from .endofunctions import count_class_functions
@@ -528,7 +528,7 @@ def cycle_indicator_weight(xs: Sequence) -> Callable[[tuple], object]:
 def biexcedent_weight(word: tuple) -> int:
     """Indicator of the biexcedent condition on a connected factor; the
     product over factors is the indicator of the whole permutation."""
-    return 1 if perms.is_in_class(word, perms.BIEXCEDENT) else 0
+    return 1 if perms._is_biexcedent(word) else 0
 
 
 def matrix_entry_weight(a, b, c) -> Callable[[tuple], object]:
@@ -552,10 +552,16 @@ def fixed_point_split_weight(word: tuple) -> Poly:
     return Poly((T**exc,))
 
 
+# nodes of one shape, or cycles, weighed together; a larger batch raises the
+# peak memory of the sweep and gains little speed
+_BATCH = 256
+
+
 def _cycle_table(fns: Sequence[Callable], order: int, top: list) -> list[list[list]]:
     """Each weight of every cycle of size below the order, as tables[i][m]:
     weight i of the cycles of size m, one flat list indexed by code. The
-    weights of the cycles of size `order` are added to `top` instead.
+    weights of the cycles of size `order` are added to `top` instead, the
+    children of one cycle as one batch.
 
     A cycle is relabelled onto {1..m} and read as the rank sequence of its
     points from rank 1. The cycle (1) has code 0, and inserting the new
@@ -565,32 +571,37 @@ def _cycle_table(fns: Sequence[Callable], order: int, top: list) -> list[list[li
     weight is called once on each cycle's map."""
     tables = [[[] for _ in range(order)] for _ in fns]
 
-    def grow(image: list[int]) -> None:
-        m = len(image)
-        factor = tuple(image)
+    def grow(cycles: list[list[int]]) -> None:
+        # `cycles`: the cycle (1), or the children of one cycle
+        m = len(cycles[0])
         if m == order:
+            factors = list(map(tuple, cycles))
             for i, fn in enumerate(fns):
-                top[i] += fn(factor)
+                top[i] += sum(map(fn, factors))
             return
-        for table, fn in zip(tables, fns):
-            table[m].append(fn(factor))
-        point = 1
-        for _ in range(m):
-            # m + 1 goes between `point` and its image
-            child = image.copy()
-            child[point - 1] = m + 1
-            child.append(image[point - 1])
-            grow(child)
-            point = image[point - 1]
+        for image in cycles:
+            factor = tuple(image)
+            for table, fn in zip(tables, fns):
+                table[m].append(fn(factor))
+            kids = []
+            point = 1
+            for _ in range(m):
+                # m + 1 goes between `point` and its image
+                child = image.copy()
+                child[point - 1] = m + 1
+                child.append(image[point - 1])
+                kids.append(child)
+                point = image[point - 1]
+            grow(kids)
 
-    grow([1])
+    grow([[1]])
     return tables
 
 
-def _pairs(scale, first: Sequence, second: Sequence):
-    """scale * a * b summed over a in `first` and b in `second`, one product
-    per pair."""
-    return sum(itertools.starmap(mul, itertools.product(map(mul, itertools.repeat(scale), first), second)))
+def _columns(values: list, codes: Sequence[int], size: int) -> Iterator[tuple]:
+    """values[x*size + j] over the codes x, one column for each j < size."""
+    starts = [x * size for x in codes]
+    return zip(*map(values.__getitem__, map(slice, starts, map(add, starts, itertools.repeat(size)))))
 
 
 def weighted_permutation_sums(
@@ -608,18 +619,21 @@ def weighted_permutation_sums(
     or by inserting n after some point of one of its cycles; on the rank
     sequence of that cycle n is the new largest rank. So every cycle has a
     code in :func:`_cycle_table`, which calls each weight once per cycle,
-    and a permutation is a list of (size, code) factors whose weights are
-    looked up there. The cycles of size `order` are whole permutations and
-    go straight into the sums.
+    and a permutation is its shape, the tuple of its cycle sizes, with one
+    code per cycle. The cycles of size `order` go straight into the sums.
 
-    One depth-first sweep by insertion reaches every permutation of
-    [order - 2]. Each such node adds its descendants of sizes order - 1
-    and order in bulk, over the table slices that hold the children and
-    grandchildren of its cycles: the new points n + 1 and n + 2 are fixed,
-    or in one 2-cycle, or one is fixed and the other inserted into a cycle,
-    or both go into the same cycle, or into two different ones. Every
-    permutation gets its own product of factor weights, and no weight is
-    summed before it is multiplied.
+    One depth-first sweep by insertion files every permutation of [n],
+    n <= order - 2, under its shape. A shape is weighed whenever it holds
+    `_BATCH` nodes, and at the end: over one list per cycle, C-level maps
+    look up the factor weights and the children and grandchildren of each
+    cycle, and form the prefix and suffix products. Each node adds its
+    children of size n + 1 (n + 1 fixed, or inserted into a cycle), and a
+    node of size order - 2 adds its descendants of size order: the new
+    points are fixed, or in one 2-cycle, or one is fixed and the other
+    inserted into a cycle, or both go into one cycle, or into two. Every
+    permutation gets its own product of factor weights, no weight is
+    summed before it is multiplied, and nodes with equal factors are never
+    merged under a multiplicity.
     """
     check_budget(order, max_n, "permutation enumeration")
     count = len(fns)
@@ -630,58 +644,74 @@ def weighted_permutation_sums(
     by_parity = [([0] * count, [0] * count) for _ in range(order + 1)]
     tables = _cycle_table(fns, order, by_parity[order][(order - 1) % 2])
 
-    def visit(n: int, factors: list[tuple[int, int]]) -> None:
-        # `factors` is a permutation of [n] as (size, code) pairs
-        k = len(factors)
-        bulk = n == order - 2
+    def weigh(shape: tuple[int, ...], nodes: list[tuple[int, ...]]) -> None:
+        n, k, width = sum(shape), len(shape), len(nodes)
+        codes = list(zip(*nodes))
         for i, table in enumerate(tables):
             loop = table[1][0]
-            weights = [table[m][x] for m, x in factors]
-            kids = [table[m + 1][x * m : (x + 1) * m] for m, x in factors]
-            before = [1]
+            weights = [list(map(table[m].__getitem__, col)) for m, col in zip(shape, codes)]
+            before = [[1] * width]
             for w in weights:
-                before.append(before[-1] * w)
-            after = [1] * (k + 1)
-            for c in range(k - 1, -1, -1):
-                after[c] = weights[c] * after[c + 1]
-            others = [before[c] * after[c + 1] for c in range(k)]
+                before.append(list(map(mul, before[-1], w)))
+            after = [[1] * width]
+            for w in reversed(weights):
+                after.insert(0, list(map(mul, w, after[0])))
+            others = [list(map(mul, before[c], after[c + 1])) for c in range(k)]
+            kids = [list(_columns(table[m + 1], col, m)) for m, col in zip(shape, codes)]
             # size n + 1: n + 1 fixed, or inserted into cycle c
-            by_parity[n + 1][(n - k) % 2][i] += before[k] * loop
+            by_parity[n + 1][(n - k) % 2][i] += sum(map(mul, before[k], itertools.repeat(loop)))
             by_parity[n + 1][(n + 1 - k) % 2][i] += sum(
-                sum(map(mul, itertools.repeat(others[c]), kids[c])) for c in range(k)
+                sum(map(mul, others[c], kid)) for c in range(k) for kid in kids[c]
             )
-            if not bulk:
+            if n < order - 2:
                 continue
             # size n + 2, by where n + 1 and n + 2 go: `one_more` sums the
-            # permutations with one cycle more than `factors`, `even_more`
+            # permutations with one cycle more than the node, `even_more`
             # those with as many or two more
-            even_more = before[k] * loop * loop
-            one_more = before[k] * table[2][0] if k else 0
-            for c, (m, x) in enumerate(factors):
+            even_more = sum(map(mul, map(mul, before[k], itertools.repeat(loop)), itertools.repeat(loop)))
+            one_more = sum(map(mul, before[k], itertools.repeat(table[2][0]))) if k else 0
+            for c, (m, col) in enumerate(zip(shape, codes)):
                 # one of them fixed and the other inserted into cycle c: each
                 # child of c twice
-                one_more += sum(map(mul, itertools.repeat(others[c] * loop), kids[c] * 2))
+                with_loop = list(map(mul, others[c], itertools.repeat(loop)))
+                one_more += sum(sum(map(mul, with_loop, kid)) for kid in kids[c] * 2)
                 if m < n:
                     # both inserted into cycle c (when c is all of [n], these
                     # are the cycles of the full order, summed by the table)
-                    grandkids = table[m + 2][x * m * (m + 1) : (x + 1) * m * (m + 1)]
-                    even_more += sum(map(mul, itertools.repeat(others[c]), grandkids))
+                    grandkids = _columns(table[m + 2], col, m * (m + 1))
+                    even_more += sum(sum(map(mul, others[c], g)) for g in grandkids)
                 rest = before[c]
                 for d in range(c + 1, k):
-                    # one inserted into cycle c and the other into cycle d
-                    scale = rest * after[d + 1]
-                    even_more += _pairs(scale, kids[c], kids[d]) + _pairs(scale, kids[d], kids[c])
-                    rest = rest * weights[d]
+                    # one inserted into cycle c and the other into cycle d,
+                    # as (scale * a) * b for each order of the two
+                    scale = list(map(mul, rest, after[d + 1]))
+                    for first, second in ((kids[c], kids[d]), (kids[d], kids[c])):
+                        for a in first:
+                            scaled = list(map(mul, scale, a))
+                            even_more += sum(sum(map(mul, scaled, b)) for b in second)
+                    rest = list(map(mul, rest, weights[d]))
             by_parity[n + 2][(n - k) % 2][i] += even_more
             by_parity[n + 2][(n + 1 - k) % 2][i] += one_more
-        if not bulk:
-            for c, (m, x) in enumerate(factors):
-                for code in range(x * m, (x + 1) * m):
-                    visit(n + 1, factors[:c] + [(m + 1, code)] + factors[c + 1 :])
-            visit(n + 1, factors + [(1, 0)])
+
+    pending: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def visit(n: int, shape: tuple[int, ...], codes: tuple[int, ...]) -> None:
+        # a permutation of [n] with cycles of sizes `shape` and these codes
+        pending.setdefault(shape, []).append(codes)
+        if len(pending[shape]) == _BATCH:
+            weigh(shape, pending.pop(shape))
+        if n == order - 2:
+            return
+        for c, (m, x) in enumerate(zip(shape, codes)):
+            grown = shape[:c] + (m + 1,) + shape[c + 1 :]
+            for code in range(x * m, (x + 1) * m):
+                visit(n + 1, grown, codes[:c] + (code,) + codes[c + 1 :])
+        visit(n + 1, shape + (1,), codes + (0,))
 
     if order >= 2:
-        visit(0, [])
+        visit(0, (), ())
+        for shape, nodes in pending.items():
+            weigh(shape, nodes)
     plain = [[1] + [even[i] + odd[i] for even, odd in by_parity[1:]] for i in range(count)]
     signed = [[1] + [even[i] - odd[i] for even, odd in by_parity[1:]] for i in range(count)]
     return plain, signed
@@ -710,9 +740,10 @@ def exponential_formula_bundle(
     signed = dict(zip(names, signed_sums))
     conn = {name: [0] * (order + 1) for name in names}
     for n in range(1, order + 1):
-        for w in perms.enumerate_class(n, perms.CIRCULAR, max_n=max_n):
-            for i, name in enumerate(names):
-                conn[name][n] = conn[name][n] + fns[i](w)
+        cycles = perms.enumerate_class(n, perms.CIRCULAR, max_n=max_n)
+        for chunk in iter(lambda: list(itertools.islice(cycles, _BATCH)), []):
+            for name, fn in zip(names, fns):
+                conn[name][n] += sum(map(fn, chunk))
     out = {}
     for name in names:
         egf_all = TruncSeries(order, plain[name])

@@ -209,6 +209,16 @@ class TestVerify:
         assert payload["ok"] is True
         assert all(r["ok"] for r in payload["results"])
 
+    def test_json_reports_the_budgets_each_point_sweeps(self, capsys):
+        assert main(["verify", "series", "--max-n", "6", "--order", "6", "--format", "json"]) == 0
+        swept = {(r["identity"], r["params"]): r["swept"] for r in json.loads(capsys.readouterr().out)["results"]}
+        assert swept[("exponential-formula-biexcedent", "order=6")] == {"order": 6, "max_n": 6}
+        assert swept[("mixed-egf-exponential-form", "order=6")] == {"order": 6, "max_n": 6}
+        # a point that needs no budget sweeps nothing
+        assert {} in swept.values()
+        assert main(["verify", "series", "--max-n", "6", "--order", "6"]) == 0
+        assert "swept" not in capsys.readouterr().out
+
     def test_report_sorted_by_identity(self):
         report = run_verification("chapter2", 5, 6, 5)
         keys = [(r.identity, r.params) for r in report.results]

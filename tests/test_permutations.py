@@ -363,3 +363,56 @@ class TestPositionSumCounts:
             weight = [[(j + 1) * (n + 1) ** i for j in range(n)] for i in range(n)]
             counts = position_sum_counts(n, weight)
             assert set(counts.values()) <= {1} and len(counts) == factorial(n)
+
+
+def biexcedent_by_positions(word):
+    """The reference for `_is_biexcedent`: each point lies below both its
+    image and its preimage, or above both, with the preimages read from a
+    position array."""
+    n = len(word)
+    pos = [0] * (n + 1)
+    for j, v in enumerate(word, start=1):
+        pos[v] = j
+    for j in range(1, n + 1):
+        v, w = word[j - 1], pos[j]
+        if not ((j < v and j < w) or (j > v and j > w)):
+            return False
+    return True
+
+
+@st.composite
+def large_biexcedent_words(draw):
+    """A biexcedent word of even size 50..500: its values cut into blocks
+    of even length, each block one cycle that alternates between its lower
+    and its upper half, so every point is a valley or a peak of its cycle."""
+    half = draw(st.integers(25, 250))
+    values = draw(st.permutations(range(1, 2 * half + 1)))
+    cuts = draw(st.lists(st.booleans(), min_size=half - 1, max_size=half - 1))
+    bounds = [0] + [2 * j + 2 for j, cut in enumerate(cuts) if cut] + [2 * half]
+    word = [0] * (2 * half)
+    for start, end in zip(bounds, bounds[1:]):
+        block = values[start:end]
+        middle = sorted(block)[len(block) // 2]
+        lows = [v for v in block if v < middle]
+        highs = [v for v in block if v >= middle]
+        cycle = [v for pair in zip(lows, highs) for v in pair]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            word[a - 1] = b
+    return tuple(word)
+
+
+class TestBiexcedentPredicate:
+    def test_matches_position_reference(self):
+        for n in range(9):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert _is_biexcedent(word) == biexcedent_by_positions(word), word
+
+    @given(large_biexcedent_words(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_large_words(self, word, data):
+        assert _is_biexcedent(word) and biexcedent_by_positions(word)
+        # one transposition of two letters, which may or may not break it
+        i, j = data.draw(st.lists(st.integers(0, len(word) - 1), min_size=2, max_size=2, unique=True))
+        swapped = list(word)
+        swapped[i], swapped[j] = word[j], word[i]
+        assert _is_biexcedent(swapped) == biexcedent_by_positions(swapped)

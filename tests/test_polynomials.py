@@ -256,6 +256,15 @@ class TestEulerianRoutes:
             for r in range(1, 4):
                 assert eulerian_coefficient_explicit(n, r, 0) == factorial(r) * r ** (n - 1)
 
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_large_triangle_matches_explicit_coefficient(self, data):
+        # the shifted polynomial of size m = (n - 1) + r has degree m - r
+        m = data.draw(st.integers(2, 300))
+        r = data.draw(st.integers(1, m - 1))
+        k = data.draw(st.integers(0, m - r))
+        assert eulerian_triangle_recurrence(m, r).coefficient(k) == eulerian_coefficient_explicit(m - r + 1, r, k)
+
     def test_explicit_assembly_matches_triangle(self):
         for m in range(1, 8):
             for r in range(1, m + 1):
@@ -308,6 +317,11 @@ class TestWorpitzky:
         for m in range(1, 9):
             for n in range(1, 9):
                 assert worpitzky(m, n).ok
+
+    @given(st.integers(1, 10**6), st.integers(1, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_large_m_and_n(self, m, n):
+        assert worpitzky(m, n).ok
 
     def test_m_one_reduces_to_top_coefficient(self):
         for n in range(1, 8):

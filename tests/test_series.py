@@ -2,8 +2,10 @@
 identity battery at unit-test scale (the acceptance module pushes the same
 checks to their full stated orders)."""
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ from eulerian.series import (
     weighted_permutation_sums,
     zero_shift_egf_closed_form,
 )
-from eulerian.series import _over_one_minus_t_exact
+from eulerian.series import _cycle_table, _over_one_minus_t_exact
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
@@ -378,8 +380,72 @@ def factorization_sums(fns, order):
     return plain, signed
 
 
+def _pairs(scale, first, second):
+    """scale * a * b summed over a in `first` and b in `second`, one product
+    per pair."""
+    return sum(itertools.starmap(mul, itertools.product(map(mul, itertools.repeat(scale), first), second)))
+
+
+def per_node_sums(fns, order):
+    """The reference for the shape-batched sweep: the same insertion sweep
+    and cycle table, with each node of size order - 2 adding its
+    descendants on its own, over table slices."""
+    count = len(fns)
+    if order == 0:
+        return [[1] for _ in fns], [[1] for _ in fns]
+    by_parity = [([0] * count, [0] * count) for _ in range(order + 1)]
+    tables = _cycle_table(fns, order, by_parity[order][(order - 1) % 2])
+
+    def visit(n, factors):
+        # `factors` is a permutation of [n] as (size, code) pairs
+        k = len(factors)
+        bulk = n == order - 2
+        for i, table in enumerate(tables):
+            loop = table[1][0]
+            weights = [table[m][x] for m, x in factors]
+            kids = [table[m + 1][x * m : (x + 1) * m] for m, x in factors]
+            before = [1]
+            for w in weights:
+                before.append(before[-1] * w)
+            after = [1] * (k + 1)
+            for c in range(k - 1, -1, -1):
+                after[c] = weights[c] * after[c + 1]
+            others = [before[c] * after[c + 1] for c in range(k)]
+            by_parity[n + 1][(n - k) % 2][i] += before[k] * loop
+            by_parity[n + 1][(n + 1 - k) % 2][i] += sum(
+                sum(map(mul, itertools.repeat(others[c]), kids[c])) for c in range(k)
+            )
+            if not bulk:
+                continue
+            even_more = before[k] * loop * loop
+            one_more = before[k] * table[2][0] if k else 0
+            for c, (m, x) in enumerate(factors):
+                one_more += sum(map(mul, itertools.repeat(others[c] * loop), kids[c] * 2))
+                if m < n:
+                    grandkids = table[m + 2][x * m * (m + 1) : (x + 1) * m * (m + 1)]
+                    even_more += sum(map(mul, itertools.repeat(others[c]), grandkids))
+                rest = before[c]
+                for d in range(c + 1, k):
+                    scale = rest * after[d + 1]
+                    even_more += _pairs(scale, kids[c], kids[d]) + _pairs(scale, kids[d], kids[c])
+                    rest = rest * weights[d]
+            by_parity[n + 2][(n - k) % 2][i] += even_more
+            by_parity[n + 2][(n + 1 - k) % 2][i] += one_more
+        if not bulk:
+            for c, (m, x) in enumerate(factors):
+                for code in range(x * m, (x + 1) * m):
+                    visit(n + 1, factors[:c] + [(m + 1, code)] + factors[c + 1 :])
+            visit(n + 1, factors + [(1, 0)])
+
+    if order >= 2:
+        visit(0, [])
+    plain = [[1] + [even[i] + odd[i] for even, odd in by_parity[1:]] for i in range(count)]
+    signed = [[1] + [even[i] - odd[i] for even, odd in by_parity[1:]] for i in range(count)]
+    return plain, signed
+
+
 SWEEP_WEIGHTS = (
-    cycle_indicator_weight(list(range(1, 9))),
+    cycle_indicator_weight(list(range(1, 10))),
     biexcedent_weight,
     matrix_entry_weight(2, 1, 3),
     lambda g: 1,
@@ -408,6 +474,17 @@ class TestInsertionSweep:
         sums = weighted_permutation_sums((fixed_point_split_weight,), order)
         assert sums == truncated(split_reference, order)
 
+    # a shape is weighed early once it holds 256 nodes, which first happens
+    # at order 9 (720 nodes of one shape, against at most 120 at order 8)
+    @pytest.mark.parametrize("order", range(10))
+    def test_matches_per_node_sweep(self, order):
+        assert weighted_permutation_sums(SWEEP_WEIGHTS, order) == per_node_sums(SWEEP_WEIGHTS, order)
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_matches_per_node_sweep_poly_weight(self, order):
+        weights = (fixed_point_split_weight,)
+        assert weighted_permutation_sums(weights, order) == per_node_sums(weights, order)
+
     def test_weights_see_connected_factor_maps(self):
         seen = []
 
@@ -430,6 +507,21 @@ class TestInsertionSweep:
         weighted_permutation_sums((lambda g: calls.append(g) or 1,), 8)
         # the cycles of size m <= 8 number (m - 1)!
         assert len(calls) == sum(factorial(m - 1) for m in range(1, 9)) == 5914
+
+    def test_each_side_weighs_every_cycle_itself(self):
+        # once per cycle on the insertion side, once per word of the
+        # circular class on the other
+        calls = Counter()
+
+        def counting(name):
+            def weight(g):
+                calls[name] += 1
+                return 1
+
+            return weight
+
+        exponential_formula_bundle({name: counting(name) for name in "ab"}, 8)
+        assert calls == {"a": 2 * 5914, "b": 2 * 5914}
 
     def test_budget(self):
         from eulerian.permutations import BudgetError

@@ -3,6 +3,8 @@ the alternating-permutation counts."""
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian.permutations import (
     ALTERNATING,
@@ -38,7 +40,34 @@ def parse_word(text):
     return tuple(letters[ch] for ch in text)
 
 
+def valley_word_by_comparison(p):
+    """The reference for `valley_word`: with p(n + 1) = n, position j is a
+    descent when p(j) > p(j + 1), and a letter is marked when it borders a
+    valley, a value below both its neighbours: a descent that ends at one,
+    or a rise that starts at one."""
+    n = len(p)
+    ext = p + (n,)
+    valleys = {j for j in range(1, n) if ext[j - 1] > ext[j] < ext[j + 1]}
+    out = []
+    for j in range(n):
+        if ext[j] > ext[j + 1]:
+            out.append(Letter.MARKED_DESCENT if j + 1 in valleys else Letter.DESCENT)
+        else:
+            out.append(Letter.MARKED_RISE if j in valleys else Letter.RISE)
+    return tuple(out)
+
+
+large_first_is_n = st.integers(50, 500).flatmap(lambda n: st.permutations(range(1, n))).map(
+    lambda rest: (len(rest) + 1, *rest)
+)
+
+
 class TestValleyWord:
+    @given(large_first_is_n)
+    @settings(max_examples=30, deadline=None)
+    def test_large_words_match_comparison_definition(self, p):
+        assert valley_word(p) == valley_word_by_comparison(p)
+
     def test_worked_example(self):
         w = valley_word((7, 1, 4, 6, 3, 2, 5))
         assert render_word(w) == "DMmdDMm"
