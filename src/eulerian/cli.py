@@ -13,7 +13,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -202,17 +201,15 @@ def _registry() -> tuple[Declaration, ...]:
         Declaration(
             "chapter2", "injection-interpretation",
             _agree(
-                lambda n, r: poly.eulerian_triangle_recurrence(n, r) * Fraction(1, poly.factorial(r)),
-                injections=poly.injection_polynomial,
+                poly.eulerian_triangle_recurrence,
+                injections=lambda n, r: poly.factorial(r) * poly.injection_polynomial(n, r),
             ),
             [{"n": n, "r": r} for n in range(1, 8) for r in range(min(n, 3) + 1)], _SWEEP,
         ),
         Declaration("chapter2", "mixed-specializations", poly.check_mixed_specializations, _sizes(1, 7), _SWEEP),
         Declaration(
             "chapter2", "roselle-two-routes",
-            _agree(
-                poly.roselle_polynomial, succession_free=lambda n: poly.roselle_polynomial(n, "rises_succession_free")
-            ),
+            _agree(poly.roselle_polynomial, succession_free=poly.roselle_by_rises),
             _sizes(1, 7), _SWEEP,
         ),
         Declaration(
@@ -222,7 +219,7 @@ def _registry() -> tuple[Declaration, ...]:
         Declaration("chapter2", "cycle-weight-reciprocal", poly.q_identity_reciprocal, _sizes(1, 6), _SWEEP),
         Declaration(
             "chapter2", "stirling-modes",
-            _agree(poly.stirling2, quasi_permutation=lambda p, q: poly.stirling2(p, q, "quasi_permutation")),
+            _agree(poly.stirling2, quasi_permutation=poly.stirling2_by_quasi_permutations),
             [{"p": p, "q": q} for p in range(2, 9) for q in range(1, p + 1)], {"max_n": itemgetter("p")},
         ),
         Declaration("series", "mixed-egf-exponential-form", ser.check_mixed_egf_exponential_form, _ORDER_10, _SERIES_SWEEP),
@@ -272,7 +269,7 @@ def _registry() -> tuple[Declaration, ...]:
         Declaration("chapter5", "word-derivation-step", words.check_derivation_step, _sizes(3, 8), _SWEEP),
         Declaration(
             "chapter5", "c-triangle-modes",
-            _agree(words.c_triangle, abelianization=lambda n: words.c_triangle(n, "abelianization")),
+            _agree(words.c_triangle, abelianization=words.c_triangle_by_abelianization),
             [{"n": range(2, 9)}], _SWEEP, "n<={n}",
         ),
         Declaration("chapter5", "valley-expansion", words.check_valley_expansion, _sizes(2, 9)),

@@ -262,70 +262,17 @@ def eulerian_shift_recurrence(n: int, r: int) -> Poly:
     return col[n]
 
 
-_STAT_KEYS = (
-    "delta_excedance",
-    "delta_prime_excedance",
-    "delta_rise",
-    "delta_descent_certificate",
-    "descent",
-    "circular",
-    "first_letter_descent",
-)
-
-
-def eulerian_by_enumeration(n: int, r: int, stat: str = "delta_excedance") -> Poly:
-    """Generating polynomial of a degree-r shifted statistic over a class.
-
-    All choices of ``stat`` produce the same polynomial, each through a
-    different vector statistic:
-
-    * ``delta_excedance`` and ``delta_prime_excedance``: excedance vector
-      over all permutations of size n, lowered r times / cropped r times;
-    * ``delta_rise``: rise vector, lowered r times;
-    * ``delta_descent_certificate``: descent-plus-certificate vector,
-      lowered r times;
-    * ``descent`` (r >= 1): descent vector, lowered once and cropped r-1
-      times;
-    * ``circular``: excedance vector lowered r+1 times over the circular
-      permutations of size n+1;
-    * ``first_letter_descent``: descent vector lowered once and cropped r
-      times, over the size-(n+1) words starting with their largest value.
-    """
-    if stat not in _STAT_KEYS:
-        raise ValueError(f"unknown statistic {stat!r}")
+def eulerian_by_enumeration(n: int, r: int) -> Poly:
+    """Shifted Eulerian polynomial by enumeration: the generating polynomial,
+    over all permutations of size n, of the positive entries of the excedance
+    vector lowered r times."""
     if r < 0:
         raise ValueError("shift must be nonnegative")
     if r >= n:
         return Poly((factorial(n),))
-    if stat == "delta_excedance":
-        # entry i + 1 of the lowered vector is positive when the value there is j + 1 >= i + 1 + r
-        totals = perms.position_sum_counts(n, [[int(i < n - r and j >= i + r) for j in range(n)] for i in range(n)])
-        return Poly(totals[c] for c in range(n + 1))
-    if stat == "descent" and r == 0:
-        raise ValueError("the descent statistic needs r >= 1")
-    op: Callable[[tuple[int, ...]], tuple[int, ...]]
-    if stat == "delta_prime_excedance":
-        tag, size, vec = perms.ALL, n, perms.excedance_vector
-        op = lambda v: v[r:]
-    elif stat == "delta_rise":
-        tag, size, vec = perms.ALL, n, perms.rise_vector
-        op = lambda v: perms.delta_power(v, r)
-    elif stat == "delta_descent_certificate":
-        tag, size, vec = perms.ALL, n, perms.descent_plus_certificate
-        op = lambda v: perms.delta_power(v, r)
-    elif stat == "descent":
-        tag, size, vec = perms.ALL, n, perms.descent_vector
-        op = lambda v: perms.delta(v)[r - 1 :]
-    elif stat == "circular":
-        tag, size, vec = perms.CIRCULAR, n + 1, perms.excedance_vector
-        op = lambda v: perms.delta_power(v, r + 1)
-    else:  # first_letter_descent
-        tag, size, vec = perms.FIRST_IS_N, n + 1, perms.descent_vector
-        op = lambda v: perms.delta(v)[r:]
-    counts = [0] * (n + 1)
-    for p in perms.enumerate_class(size, tag):
-        counts[perms.positive_count(op(vec(p)))] += 1
-    return Poly(counts)
+    # entry i + 1 of the lowered vector is positive when the value there is j + 1 >= i + 1 + r
+    totals = perms.position_sum_counts(n, [[int(i < n - r and j >= i + r) for j in range(n)] for i in range(n)])
+    return Poly(totals[c] for c in range(n + 1))
 
 
 def eulerian_coefficient_explicit(n: int, r: int, k: int) -> int:
@@ -377,20 +324,20 @@ def _stirling_row(p: int) -> tuple[int, ...]:
     return row
 
 
-def stirling2(p: int, q: int, mode: str = "recurrence") -> int:
-    """Number of partitions of a p-set into q blocks.
-
-    mode 'recurrence' uses the classical two-term recurrence. mode
-    'quasi_permutation' exhaustively counts the supradiagonal partial
-    injections with p - q pairs (row and column entries all distinct,
-    every pair strictly above the diagonal), which is the same number.
-    """
+def stirling2(p: int, q: int) -> int:
+    """Number of partitions of a p-set into q blocks, by the classical
+    two-term recurrence."""
     if not 1 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
-    if mode == "recurrence":
-        return _stirling_row(p)[q - 1]
-    if mode != "quasi_permutation":
-        raise ValueError(f"unknown mode {mode!r}")
+    return _stirling_row(p)[q - 1]
+
+
+def stirling2_by_quasi_permutations(p: int, q: int) -> int:
+    """The same number as ``stirling2``, by exhaustively counting the
+    supradiagonal partial injections with p - q pairs (row and column entries
+    all distinct, every pair strictly above the diagonal)."""
+    if not 1 <= q <= p:
+        raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
     check_budget(p, 8, "quasi-permutation scan")
     pairs = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
 
@@ -473,25 +420,29 @@ def newcomb_specialization(n: int, r: int) -> Identity:
 
 
 @lru_cache(maxsize=None)
-def _roselle_counts(n: int, via: str) -> tuple[int, ...]:
-    if via == "excedance_derangements":
-        # a fixed point weighs -n and outweighs any word's excedances: only derangements total >= 0
-        totals = perms.position_sum_counts(n, [[-n if j == i else int(j > i) for j in range(n)] for i in range(n)])
-        return tuple(totals[e] for e in range(n + 1))
+def _roselle_counts(n: int) -> tuple[int, ...]:
+    # a fixed point weighs -n and outweighs any word's excedances: only derangements total >= 0
+    totals = perms.position_sum_counts(n, [[-n if j == i else int(j > i) for j in range(n)] for i in range(n)])
+    return tuple(totals[e] for e in range(n + 1))
+
+
+def roselle_polynomial(n: int) -> Poly:
+    """Generating polynomial of excedances over fixed-point-free
+    permutations of size n."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    return Poly(_roselle_counts(n))
+
+
+def roselle_by_rises(n: int) -> Poly:
+    """The same polynomial as ``roselle_polynomial``, as the generating
+    polynomial of rises over succession-free permutations of size n."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     counts = [0] * (n + 1)
     for p in perms.enumerate_class(n, perms.SUCCESSION_FREE):
         counts[perms.positive_count(perms.rise_vector(p))] += 1
-    return tuple(counts)
-
-
-def roselle_polynomial(n: int, via: str = "excedance_derangements") -> Poly:
-    """Common generating polynomial of excedances over fixed-point-free
-    permutations and of rises over succession-free permutations."""
-    if via not in ("excedance_derangements", "rises_succession_free"):
-        raise ValueError(f"unknown route {via!r}")
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    return Poly(_roselle_counts(n, via))
+    return Poly(counts)
 
 
 @lru_cache(maxsize=None)
@@ -573,8 +524,8 @@ def _transport_families(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...]
     # the raw vector multisets of check_multiset_transport at size n, as
     # (vector, multiplicity) pairs, so that one sweep per family serves
     # every operator; the plain descent family comes last
-    def tally(size: int, tag, stat: Callable[[tuple[int, ...]], tuple[int, ...]]):
-        return tuple(Counter(stat(p) for p in perms.enumerate_class(size, tag)).items())
+    def tally(size: int, tag, vector: Callable[[tuple[int, ...]], tuple[int, ...]]):
+        return tuple(Counter(vector(p) for p in perms.enumerate_class(size, tag)).items())
 
     return (
         tally(n, perms.ALL, perms.excedance_vector),
@@ -713,8 +664,10 @@ __all__ = [
     "riordan_stirling_identity",
     "rise_record_polynomial",
     "roselle_at_minus_one",
+    "roselle_by_rises",
     "roselle_polynomial",
     "stirling2",
+    "stirling2_by_quasi_permutations",
     "worpitzky",
     "worpitzky_generalized",
 ]

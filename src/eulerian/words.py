@@ -125,28 +125,29 @@ def check_derivation_step(n: int) -> Identity:
 # the positive triangle from abelianized words
 
 
-def c_triangle(n: int, mode: str = "recurrence") -> dict:
-    """Triangle c[m, k] for 2 <= m <= n, 1 <= 2k <= m.
-
-    mode 'recurrence': c[2, 1] = 1 and
-    c[m, k] = k c[m-1, k] + 2 (m + 1 - 2k) c[m-1, k-1], zero outside the
-    strip. mode 'abelianization': read the coefficients off the letter
-    multisets of the size-m words; entries must satisfy
-    count(k marked pairs, i plain descents) = c[m, k] * C(m - 2k, i) for
-    every i, which is verified along the way.
-    """
+def c_triangle(n: int) -> dict:
+    """Triangle c[m, k] for 2 <= m <= n, 1 <= 2k <= m, by the recurrence
+    c[2, 1] = 1 and c[m, k] = k c[m-1, k] + 2 (m + 1 - 2k) c[m-1, k-1], zero
+    outside the strip."""
     if n < 2:
         raise ValueError("the triangle starts at size 2")
-    if mode == "recurrence":
-        tri = {(2, 1): 1}
-        for m in range(3, n + 1):
-            for k in range(1, m // 2 + 1):
-                tri[(m, k)] = k * tri.get((m - 1, k), 0) + 2 * (m + 1 - 2 * k) * tri.get(
-                    (m - 1, k - 1), 0
-                )
-        return tri
-    if mode != "abelianization":
-        raise ValueError(f"unknown mode {mode!r}")
+    tri = {(2, 1): 1}
+    for m in range(3, n + 1):
+        for k in range(1, m // 2 + 1):
+            tri[(m, k)] = k * tri.get((m - 1, k), 0) + 2 * (m + 1 - 2 * k) * tri.get(
+                (m - 1, k - 1), 0
+            )
+    return tri
+
+
+def c_triangle_by_abelianization(n: int) -> dict:
+    """The same triangle as ``c_triangle``, read off the letter multisets of
+    the valley words of each size m <= n; entries must satisfy
+    count(k marked pairs, i plain descents) = c[m, k] * C(m - 2k, i) for
+    every i, which is verified along the way."""
+    if n < 2:
+        raise ValueError("the triangle starts at size 2")
+    perms.check_budget(n, perms.DEFAULT_PERM_BUDGET, "permutation enumeration")
     tri = {}
     for m in range(2, n + 1):
         groups: Counter = Counter()
@@ -193,6 +194,7 @@ def euler_numbers(limit: int, mode: str = "c_triangle") -> tuple[int, ...]:
     coefficients.
     """
     if mode == "enumeration":
+        perms.check_budget(limit, perms.DEFAULT_PERM_BUDGET, "permutation enumeration")
         return tuple(
             perms.class_size(n, perms.ALTERNATING) for n in range(1, limit + 1)
         )
@@ -269,6 +271,7 @@ __all__ = [
     "Letter",
     "Word",
     "c_triangle",
+    "c_triangle_by_abelianization",
     "check_derivation_step",
     "check_reversal_bridge",
     "check_secant_alternating_sum",

@@ -8,7 +8,6 @@ import itertools
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerian import permutations as perms
 from eulerian import polynomials
 from eulerian.permutations import enumerate_class
 from eulerian.polynomials import (
@@ -46,8 +46,10 @@ from eulerian.polynomials import (
     reciprocal_poly,
     riordan_stirling_identity,
     roselle_at_minus_one,
+    roselle_by_rises,
     roselle_polynomial,
     stirling2,
+    stirling2_by_quasi_permutations,
     worpitzky,
     worpitzky_generalized,
 )
@@ -170,6 +172,39 @@ def derangement_excedances_per_word(n):
     return tuple(counts)
 
 
+# Six more vector statistics whose shifted generating polynomial is the one
+# eulerian_by_enumeration counts (lowered excedances): for each, the class
+# swept, its size, the vector and the operator, given n and r.
+STATISTICS = {
+    # excedance vector cropped r times
+    "delta_prime_excedance": lambda n, r: (perms.ALL, n, perms.excedance_vector, lambda v: v[r:]),
+    # rise vector lowered r times
+    "delta_rise": lambda n, r: (perms.ALL, n, perms.rise_vector, lambda v: perms.delta_power(v, r)),
+    # descent-plus-certificate vector lowered r times
+    "delta_descent_certificate": lambda n, r: (
+        perms.ALL, n, perms.descent_plus_certificate, lambda v: perms.delta_power(v, r)
+    ),
+    # descent vector lowered once and cropped r - 1 times (r >= 1)
+    "descent": lambda n, r: (perms.ALL, n, perms.descent_vector, lambda v: perms.delta(v)[r - 1 :]),
+    # excedance vector lowered r + 1 times over the circular words of size n + 1
+    "circular": lambda n, r: (perms.CIRCULAR, n + 1, perms.excedance_vector, lambda v: perms.delta_power(v, r + 1)),
+    # descent vector lowered once and cropped r times over the size-(n + 1)
+    # words that start with their largest value
+    "first_letter_descent": lambda n, r: (perms.FIRST_IS_N, n + 1, perms.descent_vector, lambda v: perms.delta(v)[r:]),
+}
+
+
+def statistic_polynomial(n, r, stat):
+    """Generating polynomial of the positive entries of one of STATISTICS."""
+    if r >= n:
+        return Poly((factorial(n),))
+    tag, size, vec, op = STATISTICS[stat](n, r)
+    counts = [0] * (n + 1)
+    for p in enumerate_class(size, tag):
+        counts[perms.positive_count(op(vec(p)))] += 1
+    return Poly(counts)
+
+
 class TestPoly:
     def test_normalization(self):
         assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -223,26 +258,12 @@ class TestEulerianRoutes:
         assert eulerian_by_enumeration(5, 2) == table_poly(5, 2)
         assert eulerian_by_enumeration(0, 1) == Poly((1,))
 
-    @pytest.mark.parametrize(
-        "stat",
-        [
-            "delta_excedance",
-            "delta_prime_excedance",
-            "delta_rise",
-            "delta_descent_certificate",
-            "descent",
-            "circular",
-            "first_letter_descent",
-        ],
-    )
+    @pytest.mark.parametrize("stat", ["delta_excedance", *STATISTICS])
     def test_all_statistics_agree(self, stat):
         for n in range(1, 6):
             for r in range(1 if stat == "descent" else 0, n + 1):
-                assert eulerian_by_enumeration(n, r, stat) == eulerian_triangle_recurrence(n, r), (
-                    stat,
-                    n,
-                    r,
-                )
+                got = eulerian_by_enumeration(n, r) if stat == "delta_excedance" else statistic_polynomial(n, r, stat)
+                assert got == eulerian_triangle_recurrence(n, r), (stat, n, r)
 
     def test_shift_recurrence_examples(self):
         assert eulerian_shift_recurrence(3, 0) == T * eulerian_polynomial(3)
@@ -292,7 +313,7 @@ class TestStirling:
     def test_quasi_permutation_mode(self):
         for p in range(1, 7):
             for q in range(1, p + 1):
-                assert stirling2(p, q, "quasi_permutation") == stirling2(p, q)
+                assert stirling2_by_quasi_permutations(p, q) == stirling2(p, q)
 
     def test_edges(self):
         assert stirling2(4, 2) == 7
@@ -369,14 +390,12 @@ class TestInterpretations:
             )
             assert a.eval(1) == derangements
             if n <= 7:
-                assert a == roselle_polynomial(n, "rises_succession_free")
+                assert a == roselle_by_rises(n)
 
     def test_position_sum_routes_match_per_word_loops(self):
         for n in range(10):
             assert polynomials._fix_exc_counts(n) == fix_exc_counts_per_word(n), n
-            assert polynomials._roselle_counts(n, "excedance_derangements") == (
-                derangement_excedances_per_word(n)
-            ), n
+            assert polynomials._roselle_counts(n) == derangement_excedances_per_word(n), n
 
     def test_abar_small(self):
         assert abar_polynomial(1) == Poly((0, 1))
@@ -414,8 +433,7 @@ class TestInterpretations:
         assert injection_polynomial(4, 4) == Poly((1,))
         for n in range(1, 7):
             for r in range(n + 1):
-                expect = eulerian_triangle_recurrence(n, r) * Fraction(1, factorial(r))
-                assert injection_polynomial(n, r) == expect
+                assert factorial(r) * injection_polynomial(n, r) == eulerian_triangle_recurrence(n, r)
 
     def test_evaluations_at_minus_one(self):
         assert eulerian_at_minus_one(4) == 0
@@ -465,11 +483,11 @@ class TestStructuralChecks:
         with pytest.raises(ValueError):
             eulerian_by_enumeration(4, -1)
         with pytest.raises(ValueError):
-            eulerian_by_enumeration(4, 1, "nonsense")
-        with pytest.raises(ValueError):
             count_monotone_maps(3, 3, (7,))
         with pytest.raises(ValueError):
-            roselle_polynomial(3, "nonsense")
+            roselle_by_rises(-1)
+        with pytest.raises(ValueError):
+            stirling2_by_quasi_permutations(3, 0)
 
 
 def test_row_caches_need_no_recursion():

@@ -19,6 +19,7 @@ from eulerian.permutations import (
 from eulerian.words import (
     Letter,
     c_triangle,
+    c_triangle_by_abelianization,
     check_derivation_step,
     check_reversal_bridge,
     check_secant_alternating_sum,
@@ -152,7 +153,7 @@ class TestTriangle:
         assert tri[(4, 2)] == 2
 
     def test_modes_agree(self):
-        assert c_triangle(7) == c_triangle(7, "abelianization")
+        assert c_triangle(7) == c_triangle_by_abelianization(7)
 
     def test_positivity_strip(self):
         tri = c_triangle(9)
