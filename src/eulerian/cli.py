@@ -12,327 +12,68 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import permutations as perms
 from . import polynomials as poly
-from . import series as ser
 from . import transforms as tr
-from . import words
 from .permutations import BudgetError
 from .polynomials import Identity, Poly, as_int
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     identity: str
     params: str
     status: str  # "pass", "fail", or "skip" when a budget ruled the check out
-    witness: str = ""
-    elapsed: float = 0.0  # seconds of the point, shared by all its identities
-    swept: dict[str, int] = field(default_factory=dict)  # each budget the point uses, from the registry
+    witness: str
+    elapsed: float  # seconds of the point, shared by all its identities
+    swept: dict[str, int]  # each budget the point uses, from the registry
 
     @property
     def ok(self) -> bool:
         return self.status != "fail"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
-    results: list[CheckResult] = field(default_factory=list)
-    elapsed: float = 0.0
-    points: list[tuple[float, str]] = field(default_factory=list)  # (seconds, "name [params]")
+    results: list[CheckResult]
+    elapsed: float
+    points: list[tuple[float, str]]  # (seconds, "name [params]")
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
 
-# ---------------------------------------------------------------------------
-# the check registry
-
-
-Outcome = Identity | list[tuple[str, Identity]]
-
-
-@dataclass(frozen=True)
-class Declaration:
-    """One identity check of a verification suite, declared once.
-
-    ``run(**point)`` is called at each point of ``grid``, the check's stated
-    scale. ``uses`` maps each budget the check consumes (``max_n``,
-    ``order``, ``fn_scan_max``) to the size a point needs of it, and a point
-    that needs more than a budget allows is left out. A parameter given as a
-    range is a bound instead: it shrinks to the largest value in the range
-    at which the point fits. ``label`` formats a point for the report
-    (default ``k=v`` pairs). A check returns one identity, or a list of
-    labelled identities that are reported under their own labels.
-    """
-
-    suite: str
-    name: str
-    run: Callable[..., Outcome]
-    grid: Sequence[dict[str, int | range]] = ({},)
-    uses: dict[str, Callable[[dict[str, int]], int]] = field(default_factory=dict)
-    label: str = ""
-
-    def points(self, budgets: dict[str, int]) -> Iterator[dict[str, int]]:
-        """The points that fit the budgets, with bounds shrunk to fit."""
-        for point in self.grid:
-            bounds = [k for k, v in point.items() if isinstance(v, range)]
-            options = [{**point, k: v} for k in bounds for v in reversed(point[k])] or [point]
-            for option in options:
-                if all(size(option) <= budgets[b] for b, size in self.uses.items()):
-                    yield option
-                    break
-
-
-def _agree(first: Callable[..., object], **routes: Callable[..., object]) -> Callable[..., Identity]:
-    # every named route that applies at a point (returns a value, not None)
-    # must give the first route's value there
-    def run(**point) -> Identity:
-        want = first(**point)
-        for name, route in routes.items():
-            got = route(**point)
-            if got is not None and got != want:
-                return Identity(False, got, want, f"route {name}")
-        return Identity(True, want, want)
-
-    return run
-
-
-def _both_identities(pair: tuple[Identity, Identity]) -> Identity:
-    eq_exp, eq_inv = pair
-    return eq_exp if not eq_exp.ok else eq_inv
-
-
-def _exponential_formulas(order: int) -> list[tuple[str, Identity]]:
-    # one sweep of S_n serves the three weights
-    weights = {
-        "cycle-indicator": ser.cycle_indicator_weight(list(range(1, order + 1))),
-        "biexcedent": ser.biexcedent_weight,
-        "matrix-entries": ser.matrix_entry_weight(2, 1, 3),
-    }
-    bundle = ser.exponential_formula_bundle(weights, order)
-    return [(f"exponential-formula-{label}", _both_identities(pair)) for label, pair in bundle.items()]
-
-
-def _sizes(first: int, last: int) -> list[dict[str, int]]:
-    return [{"n": n} for n in range(first, last + 1)]
-
-
-_EULER_NUMBERS = (1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765, 22368256, 199360981)
-_SWEEP = {"max_n": itemgetter("n")}
-_SERIES = {"order": itemgetter("order")}
-_SERIES_SWEEP = {"order": itemgetter("order"), "max_n": itemgetter("order")}
-_ORDER_10 = [{"order": range(11)}]
-
-
-def _registry() -> tuple[Declaration, ...]:
-    """Every check of the four suites. The tuple is built at each run, so a
-    check is whatever function its module holds at that moment."""
-    return (
-        Declaration("chapter1", "fundamental-statistics", tr.check_fundamental_statistics, _sizes(0, 8), _SWEEP),
-        Declaration("chapter1", "fundamental-bijection", tr.check_fundamental_bijection, _sizes(0, 8), _SWEEP),
-        Declaration("chapter1", "fundamental-roundtrip", tr.check_fundamental_roundtrip, _sizes(0, 8), _SWEEP),
-        Declaration("chapter1", "record-orbit-lemma", tr.check_record_orbit_lemma, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "valley-position-lemma", tr.check_valley_position_lemma, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "biexcedent-alternating", tr.check_biexcedent_alternating, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "rise-transport", tr.check_rise_transport, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "descent-transport", tr.check_descent_transport, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "circular-embedding", tr.check_circular_embedding, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "reverse-rise", tr.check_reverse_rise, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "complement-count", tr.check_complement_count, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "fixed-point-split", tr.check_fixed_point_split, _sizes(1, 8), _SWEEP),
-        Declaration(
-            "chapter1", "rotation-shift", tr.check_rotation_shift,
-            [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
-        ),
-        Declaration(
-            "chapter1", "multiset-transport", poly.check_multiset_transport,
-            [
-                {"n": n, "n_delta": a, "n_prime": b}
-                for n in range(1, 8) for a in range(4) for b in range(4 - a) if a + b <= n
-            ],
-            {"max_n": lambda p: p["n"] + 1},  # two of its classes have size n + 1
-            "n={n} d={n_delta} d'={n_prime}",
-        ),
-        Declaration(
-            "chapter2", "cross-method-tables",
-            _agree(
-                poly.eulerian_triangle_recurrence,
-                enumeration=poly.eulerian_by_enumeration,
-                # at r = 1 < n the climb starts from, and so returns, the
-                # first route's own column: no comparison would be made
-                shift_recurrence=lambda n, r: None if r == 1 < n else poly.eulerian_shift_recurrence(n, r),
-                # the EGF extraction and the explicit sum start at shift 1
-                egf_extraction=lambda n, r: ser.eulerian_from_egf(n, r) if r else None,
-                explicit_sum=lambda n, r: poly.eulerian_explicit(n, r) if r else None,
-            ),
-            [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
-        ),
-        Declaration("chapter2", "symmetry", poly.check_symmetry, _sizes(1, 8)),
-        Declaration("chapter2", "frobenius", poly.frobenius_identity, _sizes(1, 8)),
-        Declaration(
-            "chapter2", "riordan-stirling", poly.riordan_stirling_identity,
-            [{"n": n, "r": r} for n in range(1, 9) for r in range(1, n + 1)],
-        ),
-        Declaration(
-            "chapter2", "worpitzky", poly.worpitzky, [{"m": m, "n": n} for m in range(1, 9) for n in range(1, 9)]
-        ),
-        Declaration(
-            "chapter2", "divisibility-mass", poly.check_divisibility_and_mass, [{"n_max": 8}], label="n<={n_max}"
-        ),
-        Declaration(
-            "chapter2", "worpitzky-generalized", poly.worpitzky_generalized,
-            [{"m": m, "n": n, "r": r} for m in range(1, 7) for n in range(1, 7) for r in range(1, min(m, n) + 1)],
-        ),
-        Declaration(
-            "chapter2", "reciprocal-descent", poly.check_reciprocal_descent_interpretation,
-            [{"n": n, "r": r} for n in range(1, 8) for r in range(1, min(n, 3) + 1)], _SWEEP,
-        ),
-        Declaration(
-            "chapter2", "newcomb-specialization", poly.newcomb_specialization,
-            [{"n": n, "r": r} for n in range(2, 8) for r in range(2, min(n, 3) + 1)], _SWEEP,
-        ),
-        Declaration(
-            "chapter2", "injection-interpretation",
-            _agree(
-                poly.eulerian_triangle_recurrence,
-                injections=lambda n, r: poly.factorial(r) * poly.injection_polynomial(n, r),
-            ),
-            [{"n": n, "r": r} for n in range(1, 8) for r in range(min(n, 3) + 1)], _SWEEP,
-        ),
-        Declaration("chapter2", "mixed-specializations", poly.check_mixed_specializations, _sizes(1, 7), _SWEEP),
-        Declaration(
-            "chapter2", "roselle-two-routes",
-            _agree(poly.roselle_polynomial, succession_free=poly.roselle_by_rises),
-            _sizes(1, 7), _SWEEP,
-        ),
-        Declaration(
-            "chapter2", "cycle-weight-shift", poly.q_identity_integer_shift,
-            [{"n": n, "r": r} for n in range(1, 7) for r in (1, 2, 3)], _SWEEP,
-        ),
-        Declaration("chapter2", "cycle-weight-reciprocal", poly.q_identity_reciprocal, _sizes(1, 6), _SWEEP),
-        Declaration(
-            "chapter2", "stirling-modes",
-            _agree(poly.stirling2, quasi_permutation=poly.stirling2_by_quasi_permutations),
-            [{"p": p, "q": q} for p in range(2, 9) for q in range(1, p + 1)], {"max_n": itemgetter("p")},
-        ),
-        Declaration("series", "mixed-egf-exponential-form", ser.check_mixed_egf_exponential_form, _ORDER_10, _SERIES_SWEEP),
-        Declaration("series", "bernoulli-ode", ser.check_bernoulli_ode, _ORDER_10, _SERIES),
-        Declaration(
-            "series", "convolution-recurrence", ser.check_convolution_recurrence, [{"n_max": range(11)}],
-            {"order": itemgetter("n_max")}, "n<={n_max}",
-        ),
-        Declaration(
-            "series", "tree-equation", ser.check_tree_equation, [{"order": range(8)}],
-            {"order": itemgetter("order"), "fn_scan_max": itemgetter("order")},
-        ),
-        Declaration("series", "secant-exp-integral-tangent", ser.check_secant_is_exp_integral_tangent, _ORDER_10, _SERIES),
-        Declaration(
-            "series", "mixed-permanent", ser.check_mixed_permanent, [{"n_max": range(7)}],
-            {"max_n": itemgetter("n_max")}, "n<={n_max}",
-        ),
-        Declaration("series", "mixed-egf-closed-form", ser.check_mixed_egf_closed_form, _ORDER_10, _SERIES_SWEEP),
-        Declaration("series", "zero-shift-relations", ser.check_fixed_point_split_relations, _ORDER_10, _SERIES),
-        Declaration(
-            "series", "shifted-egf-powers", ser.check_shifted_egf_powers,
-            [{"r": r, "order": range(11)} for r in range(1, 6)], _SERIES,
-        ),
-        Declaration("series", "exponential-formula", _exponential_formulas, _ORDER_10, _SERIES_SWEEP),
-        Declaration(
-            "series", "exponential-formula-fixed-point-split",
-            lambda order: _both_identities(
-                ser.exponential_formula_bundle({"weight": ser.fixed_point_split_weight}, order)["weight"]
-            ),
-            [{"order": range(8)}], _SERIES_SWEEP,
-        ),
-        Declaration(
-            "series", "cycle-weighted-egf-power", ser.check_cycle_weighted_power,
-            [{"r": r, "order": range(7)} for r in (1, 2, 3)], _SERIES_SWEEP,
-        ),
-        Declaration(
-            "series", "permanent-determinant", ser.check_permanent_determinant,
-            [{"a": a, "b": b, "c": c, "order": range(11)} for a, b, c in ((2, 1, 3), (1, 1, 1), (2, 5, 2), (0, 3, 1))],
-            _SERIES,
-        ),
-        Declaration("series", "staircase-examples", ser.check_staircase_examples, _ORDER_10, _SERIES),
-        Declaration(
-            "series", "tangent-secant-table",
-            _agree(lambda order: _EULER_NUMBERS[:order], series=lambda order: words.euler_numbers(order, "series")),
-            [{"order": 14}],
-        ),
-        Declaration("chapter5", "word-derivation-step", words.check_derivation_step, _sizes(3, 8), _SWEEP),
-        Declaration(
-            "chapter5", "c-triangle-modes",
-            _agree(words.c_triangle, abelianization=words.c_triangle_by_abelianization),
-            [{"n": range(2, 9)}], _SWEEP, "n<={n}",
-        ),
-        Declaration("chapter5", "valley-expansion", words.check_valley_expansion, _sizes(2, 9)),
-        Declaration(
-            "chapter5", "tangent-alternating-sum", words.check_tangent_alternating_sum, [{"p": p} for p in range(1, 6)],
-            {"max_n": lambda pt: 2 * pt["p"]},
-        ),
-        Declaration(
-            "chapter5", "secant-alternating-sum", words.check_secant_alternating_sum, [{"p": p} for p in range(1, 6)],
-            {"max_n": lambda pt: 2 * pt["p"]},
-        ),
-        Declaration("chapter5", "reversal-bridge", words.check_reversal_bridge, _sizes(2, 7), _SWEEP),
-        Declaration(
-            "chapter5", "euler-number-modes",
-            _agree(
-                lambda n: words.euler_numbers(n),
-                enumeration=lambda n: words.euler_numbers(n, "enumeration"),
-                series=lambda n: words.euler_numbers(n, "series"),
-            ),
-            [{"n": range(11)}], _SWEEP, "n<={n}",
-        ),
-        Declaration(
-            "chapter5", "euler-number-table",
-            _agree(
-                lambda n: _EULER_NUMBERS[:n],
-                c_triangle=lambda n: words.euler_numbers(n),
-                series=lambda n: words.euler_numbers(n, "series"),
-            ),
-            [{"n": 14}], label="n<={n}",
-        ),
-    )
-
-
 _SUITES = ("chapter1", "chapter2", "series", "chapter5", "all")
 
 
 def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Report:
+    from . import registry
+
     budgets = {"max_n": max_n, "order": order, "fn_scan_max": fn_scan_max}
     start = time.perf_counter()
     results = []
     points = []
-    for decl in _registry():
-        if suite not in (decl.suite, "all"):
-            continue
+    for decl, point, params in registry.suite_points(suite, budgets):
         prefix = f"{decl.suite}/" if suite == "all" else ""
-        for point in decl.points(budgets):
-            params = decl.label.format(**point) if decl.label else " ".join(f"{k}={v}" for k, v in point.items())
-            tick = time.perf_counter()
-            try:
-                outcome = decl.run(**point)
-            except BudgetError as exc:  # out of budget: skipped, with the reason
-                checked = [(decl.name, "skip", str(exc))]
-            except Exception as exc:  # a crash fails this check only, with the reason
-                checked = [(decl.name, "fail", f"error: {exc}")]
-            else:
-                checked = []
-                for ident, res in [(decl.name, outcome)] if isinstance(outcome, Identity) else outcome:
-                    witness = "" if res.ok else f"lhs={res.lhs!r} rhs={res.rhs!r} {res.note}".strip()
-                    checked.append((ident, "pass" if res.ok else "fail", witness))
-            took = time.perf_counter() - tick
-            points.append((took, f"{prefix}{decl.name} [{params}]"))
-            swept = {b: size(point) for b, size in decl.uses.items()}
-            results.extend(CheckResult(prefix + ident, params, status, witness, took, swept) for ident, status, witness in checked)
+        tick = time.perf_counter()
+        try:
+            outcome = decl.run(**point)
+        except BudgetError as exc:  # out of budget: skipped, with the reason
+            checked = [(decl.name, "skip", str(exc))]
+        except Exception as exc:  # a crash fails this check only, with the reason
+            checked = [(decl.name, "fail", f"error: {exc}")]
+        else:
+            checked = []
+            for ident, res in [(decl.name, outcome)] if isinstance(outcome, Identity) else outcome:
+                witness = "" if res.ok else f"lhs={res.lhs!r} rhs={res.rhs!r} {res.note}".strip()
+                checked.append((ident, "pass" if res.ok else "fail", witness))
+        took = time.perf_counter() - tick
+        points.append((took, f"{prefix}{decl.name} [{params}]"))
+        swept = {b: size(point) for b, size in decl.uses.items()}
+        results.extend(CheckResult(prefix + ident, params, status, witness, took, swept) for ident, status, witness in checked)
     results.sort(key=lambda r: (r.identity, r.params))
     return Report(suite, results, time.perf_counter() - start, points)
 
@@ -372,6 +113,8 @@ def render_eulerian_table(fmt: str, only_r: int | None = None) -> str:
 
 
 def render_euler_number_table(fmt: str) -> str:
+    from . import words
+
     values = words.euler_numbers(14)
     if fmt == "csv":
         return "\n".join(f"{n},{v}" for n, v in enumerate(values, start=1))
@@ -523,10 +266,19 @@ def _cmd_poly(args) -> int:
     return 0
 
 
+# `series tan --order 1000` takes 6-7 s and order 2000 over a minute
+# (2 cores), so larger orders are refused before any work
+_MAX_SERIES_ORDER = 1000
+
+
 def _cmd_series(args) -> int:
-    _lift_digit_limit()
+    if args.order > _MAX_SERIES_ORDER:
+        raise ValueError(f"--order must be at most {_MAX_SERIES_ORDER}, got {args.order}")
     if args.t is not None and args.which in ("tan", "sec"):
         raise ValueError(f"--t applies to the EGF series only, not {args.which}")
+    from . import series as ser
+
+    _lift_digit_limit()
     order = args.order
     t = -1 if args.t is None else args.t
     if args.which == "tan":
@@ -548,17 +300,27 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budgets = (("--max-n", args.max_n), ("--order", args.order), ("--fn-scan-max", args.fn_scan_max))
-    for flag, value in budgets:
+    budgets = {"max_n": args.max_n, "order": args.order, "fn_scan_max": args.fn_scan_max}
+    for name, value in budgets.items():
         if value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value}")
-    report = run_verification(args.suite, args.max_n, args.order, args.fn_scan_max)
+            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+    if args.list:
+        if args.format != "text":
+            raise ValueError("--list prints text only")
+        from . import registry
+
+        for decl, _, params in registry.suite_points(args.suite or "all", budgets):
+            print(f"{decl.suite}/{decl.name} [{params}]")
+        return 0
+    if args.suite is None:
+        raise ValueError(f"verify needs a suite: {', '.join(_SUITES)}")
+    report = run_verification(args.suite, **budgets)
     if args.format == "json":
         payload = {
             "suite": report.suite,
             "elapsed": round(report.elapsed, 3),
             "ok": report.ok,
-            "results": [{**asdict(r), "elapsed": round(r.elapsed, 3), "ok": r.ok} for r in report.results],
+            "results": [{**r._asdict(), "elapsed": round(r.elapsed, 3), "ok": r.ok} for r in report.results],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -618,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_series)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=_SUITES)
+    v.add_argument("suite", nargs="?", choices=_SUITES, help="required unless --list (which defaults to all)")
+    v.add_argument("--list", action="store_true", help="print the points the budgets allow, without checking")
     v.add_argument("--max-n", type=int, default=perms.DEFAULT_PERM_BUDGET, dest="max_n")
     v.add_argument("--order", type=int, default=10)
     v.add_argument(

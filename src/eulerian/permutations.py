@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, getitem
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 DEFAULT_PERM_BUDGET = 10
 DEFAULT_MAP_SCAN_BUDGET = 7
@@ -221,8 +220,7 @@ def signature(p) -> int:
 # permutation classes
 
 
-@dataclass(frozen=True)
-class ClassTag:
+class ClassTag(NamedTuple):
     kind: str
     r: int | None = None
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import permutations as perms
 from .permutations import DEFAULT_PERM_BUDGET, check_budget
@@ -168,8 +167,7 @@ def comb0(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """Outcome of an identity check, carrying both sides for reporting."""
 
     ok: bool

@@ -21,7 +21,6 @@ from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import permutations as perms
-from .endofunctions import count_class_functions
 from .permutations import DEFAULT_PERM_BUDGET, check_budget
 from .polynomials import (
     Identity,
@@ -768,6 +767,8 @@ def check_cycle_weighted_power(r: int, order: int) -> Identity:
 def check_tree_equation(order: int) -> Identity:
     """w = exp(u w) for the EGF w of the maps whose n-th iterate equals the
     (n-1)-st, with counts from the exhaustive scan."""
+    from .endofunctions import count_class_functions
+
     w = series_from_polynomials(lambda n: count_class_functions(n, "ultimately_idempotent"), order)
     return series_identity(w, w.shift_up().exp())
 

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from math import factorial
 
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import eulerian.cli as cli_mod
 from eulerian import permutations as perms
 from eulerian import polynomials as poly
+from eulerian import registry
+from eulerian import series as ser
 from eulerian import transforms as tr
 from eulerian.cli import (
     _MAPS,
     _STATS,
-    Declaration,
     main,
     parse_permutation,
     render_euler_number_table,
@@ -25,6 +26,7 @@ from eulerian.cli import (
 )
 from eulerian.permutations import BudgetError
 from eulerian.polynomials import Identity
+from eulerian.registry import Declaration, _agree, _registry
 
 GOLDEN_R5_TEXT = """r=5
 n=5: 1
@@ -183,6 +185,7 @@ class TestCommands:
             ),
             (["stat", ""], "error: statistic dE is undefined on the empty word"),
             (["stat", "", "--stats", "E,dsE"], "error: statistic dsE is undefined on the empty word"),
+            (["series", "tan", "--order", "1001"], "error: --order must be at most 1000, got 1001"),
         ],
     )
     def test_bad_size_or_shift_is_usage_error(self, capsys, argv, message):
@@ -190,6 +193,10 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() == message
+
+    def test_series_order_is_bounded_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(ser, "tangent_secant_series", lambda order: pytest.fail("computed past the bound"))
+        assert main(["series", "tan", "--order", "1001"]) == 2
 
     def test_unknown_table_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -227,7 +234,7 @@ class TestVerify:
 
     def test_exit_status_reflects_failures(self, capsys, monkeypatch):
         forced = Declaration("chapter5", "forced-failure", lambda: Identity(False, 1, 2, "boom"))
-        monkeypatch.setattr(cli_mod, "_registry", lambda: (forced,))
+        monkeypatch.setattr(registry, "_registry", lambda: (forced,))
         assert main(["verify", "chapter5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL forced-failure" in out and "lhs=1" in out
@@ -236,20 +243,20 @@ class TestVerify:
         def crash(n):
             raise RuntimeError("check exploded")
 
-        registry = (
+        declarations = (
             Declaration("series", "crashing", crash, ({"n": 1},)),
             Declaration("series", "passing", lambda n: Identity(True, n, n), ({"n": 1},)),
         )
-        monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
+        monkeypatch.setattr(registry, "_registry", lambda: declarations)
         assert main(["verify", "series"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["FAIL crashing [n=1] error: check exploded", "PASS passing [n=1]"]
         assert lines[2].startswith("series: 1/2 passed")
 
     def test_a_route_that_disagrees_fails_with_its_name(self):
-        check = cli_mod._agree(lambda n: n, same=lambda n: n, not_here=lambda n: None, off=lambda n: n + 1)
+        check = _agree(lambda n: n, same=lambda n: n, not_here=lambda n: None, off=lambda n: n + 1)
         assert check(n=2) == Identity(False, 3, 2, "route off")
-        assert cli_mod._agree(lambda n: n, not_here=lambda n: None)(n=2).ok
+        assert _agree(lambda n: n, not_here=lambda n: None)(n=2).ok
 
     def test_shift_recurrence_route_never_returns_the_first_route(self, monkeypatch):
         # at r = 1 < n the climb would return eulerian_polynomial(n), the
@@ -266,7 +273,7 @@ class TestVerify:
         def over_budget():
             raise BudgetError("scan at n=9 exceeds the configured limit max_n=8")
 
-        monkeypatch.setattr(cli_mod, "_registry", lambda: (Declaration("chapter1", "too-large", over_budget),))
+        monkeypatch.setattr(registry, "_registry", lambda: (Declaration("chapter1", "too-large", over_budget),))
         assert main(["verify", "chapter1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "SKIP too-large [] scan at n=9 exceeds the configured limit max_n=8"
@@ -281,8 +288,8 @@ class TestVerify:
             time.sleep(0.1)
             return Identity(True, n, n)
 
-        registry = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 2})),)
-        monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
+        declarations = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 2})),)
+        monkeypatch.setattr(registry, "_registry", lambda: declarations)
         assert run_verification("chapter5", 5, 5, 5).elapsed >= 0.2
 
     def test_each_point_is_timed(self, capsys, monkeypatch):
@@ -290,8 +297,8 @@ class TestVerify:
             time.sleep(0.05 * n)
             return [("first", Identity(True, n, n)), ("second", Identity(True, n, n))]
 
-        registry = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 3})),)
-        monkeypatch.setattr(cli_mod, "_registry", lambda: registry)
+        declarations = (Declaration("chapter5", "slow", slow, ({"n": 1}, {"n": 3})),)
+        monkeypatch.setattr(registry, "_registry", lambda: declarations)
         took = {(r.identity, r.params): r.elapsed for r in run_verification("chapter5", 5, 5, 5).results}
         # the identities of one point share its time
         assert took[("first", "n=3")] == took[("second", "n=3")] >= 0.15
@@ -314,6 +321,40 @@ class TestVerify:
         assert list(decl.points(budgets)) == [{"n": 1, "order": 4}]
         assert list(decl.points({**budgets, "order": 1})) == []
 
+    def test_list_prints_the_points_without_checking(self, capsys):
+        want = [label for _, label in run_verification("all", 4, 3, 3).points]
+        ran = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_globals.get("__name__", ""))
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code = main(["verify", "--list", "--max-n", "4", "--order", "3", "--fn-scan-max", "3"])
+        finally:
+            sys.setprofile(outer)
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == want
+        # only the CLI and the registry ran: no check, and no route of one
+        assert {name for name in ran if name.startswith("eulerian")} == {"eulerian.cli", "eulerian.registry"}
+        assert main(["verify", "chapter2", "--list", "--max-n", "4", "--order", "3", "--fn-scan-max", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [line for line in want if line.startswith("chapter2/")]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify"], "error: verify needs a suite: chapter1, chapter2, series, chapter5, all"),
+            (["verify", "--list", "--format", "json"], "error: --list prints text only"),
+        ],
+    )
+    def test_verify_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+
     @pytest.mark.parametrize("order", [0, 1])
     def test_series_suite_at_smallest_orders(self, capsys, order):
         assert main(["verify", "series", "--order", str(order)]) == 0
@@ -322,9 +363,9 @@ class TestVerify:
     def test_lowered_budgets_never_fail(self, capsys):
         # a suite none of whose declarations reads the order gives the same
         # results at every order, so it runs once per --max-n
-        registry = cli_mod._registry()
-        reads_order = {decl.suite for decl in registry if "order" in decl.uses}
-        for suite in sorted({decl.suite for decl in registry}):
+        declarations = _registry()
+        reads_order = {decl.suite for decl in declarations if "order" in decl.uses}
+        for suite in sorted({decl.suite for decl in declarations}):
             for max_n in range(8):
                 for order in range(4) if suite in reads_order else (3,):
                     argv = ["verify", suite, "--max-n", str(max_n), "--order", str(order), "--fn-scan-max", "4"]

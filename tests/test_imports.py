@@ -1,9 +1,13 @@
 """No module of the package imports a name it never uses, no private
 module-level name goes unreferenced, and every public one is used by the
-package or named by the README. The package re-exports through
-``__init__.py``, which the import check leaves out."""
+package or named by the README. ``__init__.py`` imports no submodule, and
+a command imports only the modules it runs: a fresh interpreter pins what
+the CLI loads at start-up."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,9 +32,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
@@ -161,3 +163,21 @@ def test_a_hand_rolled_sweep_is_reported():
         "d = itertools.permutations(range(1, 4), r=2)\n"
     )
     assert _single_argument_permutations(ast.parse(source)) == [3, 5]
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
+
+
+def test_the_cli_starts_on_only_what_its_command_runs():
+    probe = "import sys; before = set(sys.modules); import eulerian.cli; print(*sorted(set(sys.modules) - before))"
+    loaded = set(_fresh("-c", probe).stdout.split())
+    assert "eulerian.cli" in loaded
+    unwanted = {"dataclasses", "eulerian.series", "eulerian.words", "eulerian.endofunctions", "eulerian.registry"}
+    assert loaded & unwanted == set()
+    # -X importtime names every module the command imports, one per line on stderr
+    run = _fresh("-X", "importtime", "-m", "eulerian.cli", "poly", "eulerian", "-n", "3")
+    assert run.stdout == "1 4 1\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+    assert "eulerian.polynomials" in imported and "eulerian.series" not in imported

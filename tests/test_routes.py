@@ -10,12 +10,12 @@ import itertools
 import sys
 from functools import _lru_cache_wrapper
 
-from eulerian import cli, endofunctions, transforms, words
+from eulerian import cli, endofunctions, registry, transforms, words
 from eulerian import permutations as perms
 from eulerian import polynomials as poly
 from eulerian import series as ser
 
-MODULES = (cli, endofunctions, perms, poly, ser, transforms, words)
+MODULES = (cli, endofunctions, perms, poly, registry, ser, transforms, words)
 # cross-method-tables meets every 2 <= r < n <= 6 at these budgets
 BUDGETS = {"max_n": 6, "order": 6, "fn_scan_max": 4}
 
@@ -104,7 +104,7 @@ def _cold() -> None:
                 value.cache_clear()
 
 
-def _shared(decl: cli.Declaration, common: set[str]) -> set[str]:
+def _shared(decl: registry.Declaration, common: set[str]) -> set[str]:
     """The functions outside ``common`` that two routes of decl both run."""
     closure = inspect.getclosurevars(decl.run).nonlocals
     routes = [closure["first"], *closure["routes"].values()]
@@ -119,14 +119,14 @@ def _shared(decl: cli.Declaration, common: set[str]) -> set[str]:
 
 def test_routes_share_only_the_common_arithmetic():
     common = _common()
-    checks = [decl for decl in cli._registry() if decl.run.__qualname__ == "_agree.<locals>.run"]
+    checks = [decl for decl in registry._registry() if decl.run.__qualname__ == "_agree.<locals>.run"]
     assert len(checks) >= 8  # the audit must find the registry's two-route checks
     found = {decl.name: shared for decl in checks if (shared := _shared(decl, common))}
     assert found == {name: funcs for names, funcs in ALLOWED for name in names}
 
 
 def test_a_shared_function_is_reported():
-    check = cli.Declaration(
-        "chapter2", "twice", cli._agree(poly.stirling2, again=lambda p, q: poly.stirling2(p, q)), [{"p": 4, "q": 2}]
+    check = registry.Declaration(
+        "chapter2", "twice", registry._agree(poly.stirling2, again=lambda p, q: poly.stirling2(p, q)), [{"p": 4, "q": 2}]
     )
     assert _shared(check, _common()) == {"polynomials.stirling2", "polynomials._stirling_row"}
