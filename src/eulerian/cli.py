@@ -3,12 +3,15 @@ Command-line front end: renders the coefficient tables, evaluates statistics
 and bijections on a given word, prints polynomials and series, and drives
 the verification suites.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
+and 141 when the reader of the output goes away before it is written (as
+for a process that SIGPIPE ends, e.g. in `eulerian verify --list | head -1`).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -326,6 +329,8 @@ def _cmd_verify(args) -> int:
     else:
         for r in report.results:
             line = f"{r.status.upper()} {r.identity} [{r.params}]"
+            if r.swept:
+                line += " swept " + ", ".join(f"{b}={size}" for b, size in r.swept.items())
             if r.witness:
                 line += f" {r.witness}"
             print(line)
@@ -397,7 +402,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe; what is still buffered goes to devnull,
+        # so the flush at exit cannot raise again (the "Note on SIGPIPE" of
+        # the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ends
     except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

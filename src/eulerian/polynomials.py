@@ -122,11 +122,41 @@ class Poly:
     # -- calculus -----------------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation; x may be a scalar or another Poly."""
+        """Horner evaluation; x may be a scalar or another Poly. At a
+        Fraction p/q an integer polynomial of degree d is evaluated on
+        integers, as the sum of c_i p^i q^(d-i), and divided once by q^d."""
+        cs = self.coeffs
+        if isinstance(x, Fraction) and cs and all(isinstance(c, int) for c in cs):
+            p, q = x.numerator, x.denominator
+            num, scale = cs[-1], 1
+            for i in range(len(cs) - 2, -1, -1):
+                scale *= q
+                num = num * p + cs[i] * scale
+            return Fraction(num, scale)
         out = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             out = out * x + c
         return out
+
+    @classmethod
+    def from_balanced_digits(cls, value: int, k: int) -> "Poly":
+        """The integer polynomial whose value at 2**k is `value` and whose
+        coefficients all lie in [-2**(k-1), 2**(k-1)): the balanced base-2**k
+        digits of `value`, least significant first. It inverts eval(1 << k)
+        on the polynomials with coefficients in that range. Width 1 is
+        refused: its digits -1 and 0 cannot write a positive value."""
+        if k < 2:
+            raise ValueError(f"balanced digits need width k >= 2, got {k}")
+        mask, half = (1 << k) - 1, 1 << (k - 1)
+        out = []
+        while value:
+            digit = value & mask
+            value >>= k
+            if digit >= half:
+                digit -= 1 << k
+                value += 1
+            out.append(digit)
+        return cls(out)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))

@@ -146,10 +146,48 @@ class TruncSeries:
         a = self.coeffs
         if not a[0] == 1:
             raise ValueError(f"reciprocal needs unit constant term, got {a[0]!r}")
+        k = self._digit_width()
+        if k:
+            # Kronecker substitution: evaluation at t = 2**k maps Z[t] into
+            # Z as a ring homomorphism, so the recurrence below runs on ints,
+            # and the width makes each result's base-2**k digits its
+            # coefficients
+            a = [c.eval(1 << k) if isinstance(c, Poly) else c for c in a]
         out = [1]
         for n in range(1, self.order + 1):
             out.append(-_binomial_sum(n, a, out, 1))
+        if k:
+            out[1:] = [Poly.from_balanced_digits(v, k) for v in out[1:]]
         return TruncSeries(self.order, out)
+
+    def _digit_width(self) -> int:
+        """For EGF values that are ints or integer polynomials in one
+        variable, at least one of them a polynomial, a digit width k with
+        2**(k-1) above every coefficient of every EGF value of the
+        reciprocal; 0 for any other series.
+
+        The bound is the 1-norm majorant of the reciprocal's recurrence,
+        M_0 = 1 and M_n = sum over i >= 1 of C(n, i) |a_i|_1 M_(n-i): the
+        1-norm of a product is at most the product of the 1-norms, so by
+        induction M_n bounds the 1-norm of the n-th result value."""
+        norms = []
+        univariate = False
+        for c in self.coeffs:
+            if isinstance(c, Poly):
+                if not all(isinstance(x, int) for x in c.coeffs):
+                    return 0
+                norms.append(sum(map(abs, c.coeffs)))
+                univariate = True
+            elif isinstance(c, int):
+                norms.append(abs(c))
+            else:
+                return 0
+        if not univariate:
+            return 0
+        bound = [1]
+        for n in range(1, self.order + 1):
+            bound.append(_binomial_sum(n, norms, bound, 1))
+        return max(bound).bit_length() + 1
 
     def exp(self) -> "TruncSeries":
         a = self.coeffs

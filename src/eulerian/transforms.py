@@ -82,16 +82,21 @@ def fundamental_inverse(tau: tuple[int, ...]) -> tuple[int, ...]:
 
     Implemented independently of :func:`fundamental`: the segments of the
     word starting at its left-to-right maxima are read as orbits traversed
-    backwards from the maximum.
+    backwards from the maximum. One scan does it: each letter maps to the
+    letter before it, except a segment's head, which maps to the last
+    letter of its segment, known when the next maximum (or the end) closes
+    the segment.
     """
-    n = len(tau)
-    out = [0] * (n + 1)
-    bounds = list(left_to_right_maxima(tau)) + [n + 1]
-    for a, b in zip(bounds, bounds[1:]):
-        seg = tau[a - 1 : b - 1]
-        for prev, cur in zip(seg, seg[1:]):
-            out[cur] = prev
-        out[seg[0]] = seg[-1]
+    out = [0] * (len(tau) + 1)  # out[0] takes the empty segment before the first letter
+    head = prev = 0
+    for v in tau:
+        if v > head:
+            out[head] = prev
+            head = v
+        else:
+            out[v] = prev
+        prev = v
+    out[head] = prev
     return tuple(out[1:])
 
 

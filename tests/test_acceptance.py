@@ -3,7 +3,7 @@ arithmetic throughout, one printed pass/fail line per criterion.
 
 Criteria 3, 5, 6 and 7 run the verification suites of the CLI's check
 registry (chapter1, series, chapter2, chapter5) at default budgets, so each
-identity's grid is declared once, in ``eulerian.cli``; the other criteria
+identity's grid is declared once, in ``eulerian.registry``; the other criteria
 check literal tables, the worked example and counts that the CLI does not.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the

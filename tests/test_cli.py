@@ -2,9 +2,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -223,8 +226,13 @@ class TestVerify:
         assert swept[("mixed-egf-exponential-form", "order=6")] == {"order": 6, "max_n": 6}
         # a point that needs no budget sweeps nothing
         assert {} in swept.values()
+
+    def test_text_reports_the_budgets_each_point_sweeps(self, capsys):
         assert main(["verify", "series", "--max-n", "6", "--order", "6"]) == 0
-        assert "swept" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS exponential-formula-biexcedent [order=6] swept order=6, max_n=6" in lines
+        # a point that needs no budget prints no sweep
+        assert any(line.startswith("PASS ") and " swept " not in line for line in lines)
 
     def test_report_sorted_by_identity(self):
         report = run_verification("chapter2", 5, 6, 5)
@@ -428,3 +436,33 @@ def test_random_argv_never_gives_a_traceback(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+_SRC = str(Path(registry.__file__).parents[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--list"],
+        ["verify", "chapter2", "--max-n", "6"],
+        ["poly", "eulerian", "-n", "30"],
+        ["series", "classical-egf", "--order", "12"],
+    ],
+    ids=" ".join,
+)
+def test_a_closed_pipe_ends_quietly(argv):
+    # the reader is closed before the command writes, as when `| head -1`
+    # has already read its line
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulerian.cli", *argv], stdout=write, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr, proc.stderr
+    # 1 would claim that an identity failed
+    assert proc.returncode == 141

@@ -8,6 +8,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -226,6 +227,50 @@ class TestPoly:
         assert p.eval(-1) == 0
         shifted = p.eval(Poly((1, 1)))
         assert shifted.coeffs == (24, 36, 14, 1)
+
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), max_size=13),
+        st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_eval_at_a_rational_matches_fraction_horner(self, coeffs, x):
+        p = Poly(coeffs)
+        want = 0
+        for c in reversed(p.coeffs):
+            want = want * x + c
+        got = p.eval(x)
+        assert got == want and type(got) is type(want)
+
+    def test_eval_at_a_rational_keeps_the_result_types(self):
+        zero = Poly().eval(Fraction(-2, 3))
+        assert zero == 0 and type(zero) is int
+        const = Poly((5,)).eval(Fraction(-2, 3))
+        assert const == 5 and type(const) is Fraction
+        at_zero = Poly((-4, 0, 7)).eval(Fraction(0))
+        assert at_zero == -4 and type(at_zero) is Fraction
+        assert Poly((1, 11, 11, 1)).eval(Fraction(-1, 2)) == Fraction(-15, 8)
+        # Fraction and nested coefficients take the generic Horner loop
+        assert Poly((Fraction(1, 2), 1)).eval(Fraction(1, 3)) == Fraction(5, 6)
+        assert Poly((Poly((1, 1)), 1)).eval(Fraction(1, 2)) == Poly((Fraction(3, 2), 1))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64])
+    def test_balanced_digits_at_the_edges(self, k):
+        half = 1 << (k - 1)
+        for coeffs in ([-half], [half - 1], [0, -half, half - 1, 0, -half], [half - 1, -half, 0, half - 1]):
+            p = Poly(coeffs)
+            assert Poly.from_balanced_digits(p.eval(1 << k), k) == p
+        assert Poly.from_balanced_digits(0, k) == Poly()
+
+    def test_balanced_digits_need_two_bits(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            Poly.from_balanced_digits(1, 1)
+
+    @given(st.integers(2, 90), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_balanced_digits_invert_evaluation_at_a_power_of_two(self, k, data):
+        half = 1 << (k - 1)
+        p = Poly(data.draw(st.lists(st.integers(-half, half - 1), max_size=15)))
+        assert Poly.from_balanced_digits(p.eval(1 << k), k) == p
 
     def test_shift_down(self):
         assert Poly((0, 0, 3, 1)).shift_down(2) == Poly((3, 1))

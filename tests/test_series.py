@@ -251,6 +251,69 @@ class TestAgainstOrdinaryReference:
             assert ordinary(form(order)) == ref_closed_form(REFERENCE_DENOMINATORS[form](order)), order
 
 
+def poly_reciprocal(a):
+    """The reciprocal's EGF values by the binomial recurrence, in the
+    generic Poly arithmetic."""
+    out = [1]
+    for n in range(1, len(a)):
+        out.append(-sum((comb(n, i) * a[i] * out[n - i] for i in range(1, n + 1)), Poly()))
+    return out
+
+
+WIDE = st.integers(-(2**80), 2**80)
+# ints and integer polynomials of degree up to 12, zeros included
+INTEGER_VALUES = st.one_of(st.just(0), st.just(Poly()), WIDE, st.lists(WIDE, max_size=13).map(Poly))
+
+
+class TestIntegerReciprocal:
+    """The reciprocal of a series of integer polynomials in one variable runs
+    on ints at t = 2**k; it must agree with the Poly recurrence and with the
+    ordinary-coefficient reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_poly_recurrence(self, data):
+        order = data.draw(st.integers(0, 14))
+        head = data.draw(st.sampled_from((1, Poly((1,)))))
+        s = TruncSeries(order, [head] + data.draw(st.lists(INTEGER_VALUES, min_size=order, max_size=order)))
+        assert list(s.reciprocal().coeffs) == poly_reciprocal(s.coeffs)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_ordinary_reference(self, data):
+        order = data.draw(st.integers(0, 8))
+        small = st.lists(st.integers(-(2**80), 2**80), max_size=5).map(Poly)
+        s = TruncSeries(order, [1] + data.draw(st.lists(st.one_of(small, WIDE), min_size=order, max_size=order)))
+        assert ordinary(s.reciprocal()) == ref_reciprocal(ordinary(s))
+
+    def test_only_univariate_integer_polynomials_take_the_integer_route(self):
+        assert TruncSeries(3, (1, T, 2, Poly((0, 5))))._digit_width() > 0
+        assert TruncSeries(3, (1, 2, 3, 4))._digit_width() == 0  # already on ints
+        assert TruncSeries(2, (1, Fraction(1, 2), T))._digit_width() == 0
+        assert TruncSeries(2, (1, Poly((Fraction(1, 2),)), T))._digit_width() == 0
+        assert TruncSeries(2, (1, Poly((T, -1)), 0))._digit_width() == 0
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_generic_route_matches_the_poly_recurrence(self, data):
+        order = data.draw(st.integers(0, 6))
+        nested = st.lists(st.lists(st.integers(-3, 3), max_size=3).map(Poly), max_size=3).map(Poly)
+        fractional = st.lists(rationals, max_size=3).map(Poly)
+        values = data.draw(st.lists(st.one_of(nested, fractional), min_size=order, max_size=order))
+        s = TruncSeries(order, [1] + values)
+        assert list(s.reciprocal().coeffs) == poly_reciprocal(s.coeffs)
+
+    @pytest.mark.parametrize("slope", [T, -T], ids=["positive", "alternating"])
+    def test_coefficients_at_the_edge_of_a_digit(self, slope):
+        # 1/(1 - slope u): the n-th EGF value is n! slope^n, one coefficient
+        # that meets the 1-norm bound, so at the top order it fills every
+        # bit of a digit but the sign
+        order = 14
+        s = TruncSeries(order, (1, -slope))
+        assert factorial(order).bit_length() == s._digit_width() - 1
+        assert s.reciprocal().coeffs[1:] == tuple(factorial(n) * slope**n for n in range(1, order + 1))
+
+
 class TestDivisionByOneMinusT:
     def test_nested_coefficient_divides_exactly(self):
         quotient = Poly((Poly((2, 5, 1)), 0, Poly((-3, 0, 4))))  # in t', over t

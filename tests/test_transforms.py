@@ -14,6 +14,7 @@ from eulerian.permutations import (
     enumerate_class,
     excedance_vector,
     is_in_class,
+    left_to_right_maxima,
     orbits,
     rise_vector,
 )
@@ -71,6 +72,21 @@ def fundamental_by_keys(p):
     return tuple(k for _, k in keyed)
 
 
+def fundamental_inverse_by_segments(tau):
+    """The reference route for `fundamental_inverse`: slice the word into
+    its segments from each left-to-right maximum, and read each segment as
+    an orbit traversed backwards from its maximum."""
+    n = len(tau)
+    out = [0] * (n + 1)
+    bounds = list(left_to_right_maxima(tau)) + [n + 1]
+    for a, b in zip(bounds, bounds[1:]):
+        seg = tau[a - 1 : b - 1]
+        for prev, cur in zip(seg, seg[1:]):
+            out[cur] = prev
+        out[seg[0]] = seg[-1]
+    return tuple(out[1:])
+
+
 large_perms = st.integers(50, 500).flatmap(lambda n: st.permutations(range(1, n + 1)))
 
 # the five biexcedent words of size 4 and their images, as printed in the
@@ -113,6 +129,12 @@ class TestFundamental:
         image = fundamental(p)
         assert image == fundamental_by_keys(p)
         assert fundamental_inverse(image) == p
+        assert fundamental_inverse(p) == fundamental_inverse_by_segments(p)
+
+    def test_inverse_matches_segment_slicing(self):
+        for n in range(9):
+            for p in enumerate_class(n):
+                assert fundamental_inverse(p) == fundamental_inverse_by_segments(p)
 
     def test_identity_fixed(self):
         p = (1, 2, 3, 4, 5)
