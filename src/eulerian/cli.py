@@ -32,6 +32,7 @@ class CheckResult(NamedTuple):
     witness: str
     elapsed: float  # seconds of the point, shared by all its identities
     swept: dict[str, int]  # each budget the point uses, from the registry
+    point: int  # index of the point in registry order, shared by all its identities
 
     @property
     def ok(self) -> bool:
@@ -59,7 +60,7 @@ def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Re
     start = time.perf_counter()
     results = []
     points = []
-    for decl, point, params in registry.suite_points(suite, budgets):
+    for index, (decl, point, params) in enumerate(registry.suite_points(suite, budgets)):
         prefix = f"{decl.suite}/" if suite == "all" else ""
         tick = time.perf_counter()
         try:
@@ -76,7 +77,9 @@ def run_verification(suite: str, max_n: int, order: int, fn_scan_max: int) -> Re
         took = time.perf_counter() - tick
         points.append((took, f"{prefix}{decl.name} [{params}]"))
         swept = {b: size(point) for b, size in decl.uses.items()}
-        results.extend(CheckResult(prefix + ident, params, status, witness, took, swept) for ident, status, witness in checked)
+        results.extend(
+            CheckResult(prefix + ident, params, status, witness, took, swept, index) for ident, status, witness in checked
+        )
     results.sort(key=lambda r: (r.identity, r.params))
     return Report(suite, results, time.perf_counter() - start, points)
 

@@ -88,11 +88,49 @@ def _cycles_are_loops(word) -> bool:
     return True
 
 
+def _count_ultimately_idempotent(n: int) -> int:
+    # every map is a prefix (f(1), ..., f(n-1)) and a last letter j = f(n).
+    # One walk of the prefix labels each point by where its chain ends: on a
+    # fixed point, at n (the one point not yet mapped), or on a longer
+    # cycle. A longer cycle rules out all n maps of the prefix; otherwise
+    # the map prefix + (j,) is valid exactly when its chain from j settles
+    # on a fixed point, and j = n closes a loop at n. So after end[n] is set
+    # to "settles", counting the label 1 judges each of the n maps by one
+    # lookup, at C speed.
+    count = 0
+    for prefix in itertools.product(range(1, n + 1), repeat=n - 1):
+        # 0 unlabelled, -1 on the current walk; then 1 settles on a fixed
+        # point, 2 reaches n, 3 falls into a longer cycle
+        end = [0] * (n + 1)
+        end[n] = 2
+        for start in range(1, n):
+            if end[start]:
+                continue
+            path = []
+            k = start
+            while not end[k]:
+                end[k] = -1
+                path.append(k)
+                k = prefix[k - 1]
+            label = end[k] if end[k] > 0 else (1 if prefix[k - 1] == k else 3)
+            if label == 3:
+                break
+            for v in path:
+                end[v] = label
+        else:
+            end[n] = 1
+            count += end.count(1)
+    return count
+
+
 def count_class_functions(n: int, kind: str) -> int:
     """Exhaustively count maps by class.
 
     kind 'ultimately_idempotent': the n-th iterate equals the (n-1)-st, which
-    happens exactly when every cycle of the functional graph is a loop.
+    happens exactly when every cycle of the functional graph is a loop. The
+    scan walks each of the n^(n-1) prefixes (f(1), ..., f(n-1)) once and
+    judges each of its n maps by the label of its last letter; every map
+    still gets its own verdict.
     kind 'arborescence': the image of the (n-1)-st iterate is a single point,
     i.e. the map is connected and its one cycle is a loop.
     """
@@ -102,9 +140,8 @@ def count_class_functions(n: int, kind: str) -> int:
         return 1 if kind == "ultimately_idempotent" else 0
     check_budget(n, DEFAULT_MAP_SCAN_BUDGET, "endofunction scan")
     if kind == "ultimately_idempotent":
-        keep = _cycles_are_loops
-    else:
-        keep = lambda image: _cycles_are_loops(image) and len(subdomains(image)) == 1
+        return _count_ultimately_idempotent(n)
+    keep = lambda image: _cycles_are_loops(image) and len(subdomains(image)) == 1
     return sum(map(keep, itertools.product(range(1, n + 1), repeat=n)))
 
 

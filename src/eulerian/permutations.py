@@ -101,35 +101,39 @@ def excedance_vector(p: tuple[int, ...]) -> tuple[int, ...]:
 def descent_vector(p: tuple[int, ...]) -> tuple[int, ...]:
     """Entry k is (sigma(j-1) - (k-1))+ where j is the position of value k.
 
-    Entries are 0 or >= 2, and the last entry is always 0.
+    Entries are 0 or >= 2, and the last entry is always 0. One scan over
+    adjacent letters fills it: a letter v after prev >= v gets
+    prev - v + 1, and the first letter follows the boundary value 0.
 
     >>> descent_vector((6, 4, 1, 2, 5, 3))
     (4, 0, 3, 3, 0, 0)
     """
-    n = len(p)
-    pos = [0] * (n + 1)
-    for j, v in enumerate(p, start=1):
-        pos[v] = j
-    out = []
-    for k in range(1, n + 1):
-        j = pos[k]
-        prev = p[j - 2] if j >= 2 else 0
-        out.append(prev - k + 1 if prev >= k else 0)
-    return tuple(out)
+    out = [0] * (len(p) + 1)
+    prev = 0
+    for v in p:
+        if prev >= v:
+            out[v] = prev - v + 1
+        prev = v
+    return tuple(out[1:])
 
 
 def rise_vector(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry k is (sigma(1 + j) - (k-1))+ where j is the position of k-1."""
-    n = len(p)
-    pos = [0] * (n + 1)
-    for j, v in enumerate(p, start=1):
-        pos[v] = j
-    out = []
-    for k in range(1, n + 1):
-        j = pos[k - 1] if k >= 2 else 0
-        nxt = p[j] if j < n else 0
-        out.append(nxt - k + 1 if nxt >= k else 0)
-    return tuple(out)
+    """Entry k is (sigma(1 + j) - (k-1))+ where j is the position of k-1.
+
+    One scan over adjacent letters fills it: a letter v after prev < v sets
+    entry prev + 1 to v - prev, and the first letter follows the boundary
+    value 0, so entry 1 is the first letter.
+
+    >>> rise_vector((6, 4, 1, 2, 5, 3))
+    (6, 1, 3, 0, 0, 0)
+    """
+    out = [0] * (len(p) + 1)
+    prev = 0
+    for v in p:
+        if v > prev:
+            out[prev + 1] = v - prev
+        prev = v
+    return tuple(out[1:])
 
 
 def fixed_point_vector(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -158,26 +162,24 @@ def dprime_vector(p: tuple[int, ...]) -> tuple[int, ...]:
 
     Entry j is 1 when the value j is a left-to-right maximum of the word and
     either sits at the last position or is immediately followed by another
-    left-to-right maximum.
+    left-to-right maximum. One scan tracks the running maximum: a new
+    maximum marks the old one when the old one is the letter just before
+    it, and the last letter is marked when it is a maximum (it is then n).
+
+    >>> dprime_vector((4, 2, 5, 6, 1, 3))
+    (0, 0, 0, 0, 1, 0)
     """
-    n = len(p)
-    maxima = set(left_to_right_maxima(p))
-    pos = [0] * (n + 1)
-    for j, v in enumerate(p, start=1):
-        pos[v] = j
-    out = []
-    for val in range(1, n + 1):
-        j = pos[val]
-        if j not in maxima:
-            out.append(0)
-        elif j == n:
-            # a value below n can never be a left-to-right maximum at the last
-            # position, since n would have to occur before it
-            assert val == n
-            out.append(1)
-        else:
-            out.append(1 if (j + 1) in maxima else 0)
-    return tuple(out)
+    out = [0] * (len(p) + 1)  # out[0] takes the empty maximum before the first letter
+    best = prev = 0
+    for v in p:
+        if v > best:
+            if prev == best:
+                out[best] = 1
+            best = v
+        prev = v
+    if prev == best:
+        out[best] = 1
+    return tuple(out[1:])
 
 
 def descent_plus_certificate(p: tuple[int, ...]) -> tuple[int, ...]:

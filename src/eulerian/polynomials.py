@@ -265,9 +265,20 @@ def eulerian_polynomial(n: int) -> Poly:
     return eulerian_triangle_recurrence(n, 1)
 
 
+def _eulerian_column(n: int) -> dict[int, Poly]:
+    # the classical polynomials A_0, ..., A_n by the derivative recurrence
+    #   A_{m+1}(t) = (1 + m t) A_m(t) + t (1 - t) A_m'(t),  A_0 = 1,
+    # a column of its own, apart from the coefficient triangle
+    col = {0: Poly((1,))}
+    for m in range(n):
+        col[m + 1] = (1 + m * T) * col[m] + T * (1 - T) * col[m].derivative()
+    return col
+
+
 def eulerian_shift_recurrence(n: int, r: int) -> Poly:
     """Shifted Eulerian polynomial by climbing the shift, one step at a time,
-    from the classical column:
+    from the classical column, which the derivative recurrence
+    A_{m+1} = (1 + m t) A_m + t (1 - t) A_m' builds:
 
         t * next(n) = cur(n) + s (t - 1) cur(n - 1)
 
@@ -278,10 +289,10 @@ def eulerian_shift_recurrence(n: int, r: int) -> Poly:
         raise ValueError("shift must be nonnegative")
     if r >= n:
         return Poly((factorial(n),))
+    col = _eulerian_column(n)
     if r == 0:
         # downward step of the same relation: the 0-shift is t times shift 1
-        return T * eulerian_polynomial(n)
-    col = {m: eulerian_polynomial(m) for m in range(n + 1)}
+        return T * col[n]
     for s in range(1, r):
         col = {
             m: (col[m] + s * (T - 1) * col[m - 1]).shift_down()

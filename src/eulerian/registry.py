@@ -125,9 +125,7 @@ def _registry() -> tuple[Declaration, ...]:
             _agree(
                 poly.eulerian_triangle_recurrence,
                 enumeration=poly.eulerian_by_enumeration,
-                # at r = 1 < n the climb starts from, and so returns, the
-                # first route's own column: no comparison would be made
-                shift_recurrence=lambda n, r: None if r == 1 < n else poly.eulerian_shift_recurrence(n, r),
+                shift_recurrence=poly.eulerian_shift_recurrence,
                 # the EGF extraction and the explicit sum start at shift 1
                 egf_extraction=lambda n, r: ser.eulerian_from_egf(n, r) if r else None,
                 explicit_sum=lambda n, r: poly.eulerian_explicit(n, r) if r else None,

@@ -47,32 +47,26 @@ def fundamental(p: tuple[int, ...]) -> tuple[int, ...]:
     distance to maximum) pairs; the last letter is preserved.
 
     Each orbit is written from its maximum m as m, p^-1(m), p^-2(m), ...,
-    and the orbits follow in increasing order of their maxima. Scanning the
-    values downwards meets each orbit first at its maximum, so the word is
-    built back to front and reversed at the end.
+    and the orbits follow in increasing order of their maxima. One scan
+    does it: the values are taken from n down, and each one not yet visited
+    is the maximum m of its orbit. Walking forward from p(m) until the walk
+    returns to m writes that orbit's segment back to front, so the word is
+    built back to front and reversed once at the end.
 
     >>> fundamental((6, 4, 1, 2, 5, 3))
     (4, 2, 5, 6, 1, 3)
     """
-    n = len(p)
-    # preimages, zeroed once visited
-    pre = [0] * (n + 1)
-    for k, v in enumerate(p, start=1):
-        pre[v] = k
+    seen = [False] * (len(p) + 1)
     out = []
-    for m in range(n, 0, -1):
-        k = pre[m]
-        if not k:
+    for m in range(len(p), 0, -1):
+        if seen[m]:
             continue
-        pre[m] = 0
-        segment = [m]
+        k = p[m - 1]
         while k != m:
-            segment.append(k)
-            nxt = pre[k]
-            pre[k] = 0
-            k = nxt
-        segment.reverse()
-        out += segment
+            seen[k] = True
+            out.append(k)
+            k = p[k - 1]
+        out.append(m)
     out.reverse()
     return tuple(out)
 

@@ -1,0 +1,142 @@
+"""Slow, independent reference versions of the package's fast kernels.
+
+Each one evaluates a definition directly, or is a version a faster kernel
+replaced. ``test_differential.py`` checks every fast kernel against its
+references, from one table; the other test modules use them as oracles.
+"""
+from eulerian.permutations import left_to_right_maxima, orbits
+
+
+def brute_descent_vector(p):
+    """Direct evaluation of the defining formula with explicit boundary
+    values, independent of the library's index bookkeeping."""
+    n = len(p)
+
+    def sigma(j):
+        return p[j - 1] if 1 <= j <= n else 0
+
+    def sigma_inv(k):
+        return p.index(k) + 1 if 1 <= k <= n else 0
+
+    return tuple(max(0, sigma(sigma_inv(k) - 1) - (k - 1)) for k in range(1, n + 1))
+
+
+def brute_rise_vector(p):
+    n = len(p)
+
+    def sigma(j):
+        return p[j - 1] if 1 <= j <= n else 0
+
+    def sigma_inv(k):
+        return p.index(k) + 1 if 1 <= k <= n else 0
+
+    return tuple(max(0, sigma(1 + sigma_inv(k - 1)) - (k - 1)) for k in range(1, n + 1))
+
+
+def dprime_by_maxima_set(p):
+    """The certificate from the set of left-to-right maximum positions and
+    an inverse-position array, value by value: the version the one-scan
+    ``dprime_vector`` replaced."""
+    n = len(p)
+    maxima = set(left_to_right_maxima(p))
+    pos = [0] * (n + 1)
+    for j, v in enumerate(p, start=1):
+        pos[v] = j
+    out = []
+    for val in range(1, n + 1):
+        j = pos[val]
+        if j not in maxima:
+            out.append(0)
+        elif j == n:
+            # a value below n can never be a left-to-right maximum at the last
+            # position, since n would have to occur before it
+            assert val == n
+            out.append(1)
+        else:
+            out.append(1 if (j + 1) in maxima else 0)
+    return tuple(out)
+
+
+def orbit_keys(p):
+    """For each element k of 1..n, the pair (maximum of k's orbit, least
+    number of forward steps from k to that maximum).
+
+    The step count stays below the orbit length, and the n pairs are
+    pairwise distinct, so sorting them lexicographically totally orders the
+    elements; that order is the fundamental transformation.
+    """
+    n = len(p)
+    keys = [(0, 0)] * n
+    for orb in orbits(p):
+        size = len(orb)
+        im = max(range(size), key=orb.__getitem__)
+        m = orb[im]
+        for i, k in enumerate(orb):
+            keys[k - 1] = (m, (im - i) % size)
+    return tuple(keys)
+
+
+def fundamental_by_keys(p):
+    """The reference route for `fundamental`: sort the elements by their
+    orbit keys."""
+    keyed = sorted((key, k) for k, key in enumerate(orbit_keys(p), start=1))
+    return tuple(k for _, k in keyed)
+
+
+def fundamental_by_preimage_segments(p):
+    """`fundamental` from a preimage array: each orbit is read backwards
+    from its maximum through the preimages, and each segment is reversed
+    on its own: the version the one-scan ``fundamental`` replaced."""
+    n = len(p)
+    pre = [0] * (n + 1)  # preimages, zeroed once visited
+    for k, v in enumerate(p, start=1):
+        pre[v] = k
+    out = []
+    for m in range(n, 0, -1):
+        k = pre[m]
+        if not k:
+            continue
+        pre[m] = 0
+        segment = [m]
+        while k != m:
+            segment.append(k)
+            nxt = pre[k]
+            pre[k] = 0
+            k = nxt
+        segment.reverse()
+        out += segment
+    out.reverse()
+    return tuple(out)
+
+
+def fundamental_inverse_by_segments(tau):
+    """The reference route for `fundamental_inverse`: slice the word into
+    its segments from each left-to-right maximum, and read each segment as
+    an orbit traversed backwards from its maximum."""
+    n = len(tau)
+    out = [0] * (n + 1)
+    bounds = list(left_to_right_maxima(tau)) + [n + 1]
+    for a, b in zip(bounds, bounds[1:]):
+        seg = tau[a - 1 : b - 1]
+        for prev, cur in zip(seg, seg[1:]):
+            out[cur] = prev
+        out[seg[0]] = seg[-1]
+    return tuple(out[1:])
+
+
+def iterate(word, k):
+    """The k-th iterate of the map, as an image word."""
+    out = tuple(range(1, len(word) + 1))
+    for _ in range(k):
+        out = tuple(word[v - 1] for v in out)
+    return out
+
+
+def literal_ultimately_idempotent(word):
+    n = len(word)
+    return iterate(word, n) == iterate(word, n - 1)
+
+
+def literal_arborescence(word):
+    n = len(word)
+    return len(set(iterate(word, n - 1))) == 1

@@ -267,15 +267,19 @@ class TestVerify:
         assert _agree(lambda n: n, not_here=lambda n: None)(n=2).ok
 
     def test_shift_recurrence_route_never_returns_the_first_route(self, monkeypatch):
-        # at r = 1 < n the climb would return eulerian_polynomial(n), the
-        # first route's own value, so the route must not be asked there
+        # the climb starts from a column of its own, so it is asked at every
+        # point of cross-method-tables, r = 1 < n included, and never runs
+        # the first route
         calls = []
         climb = poly.eulerian_shift_recurrence
         monkeypatch.setattr(poly, "eulerian_shift_recurrence", lambda n, r: calls.append((n, r)) or climb(n, r))
         assert main(["verify", "chapter2"]) == 0
-        assert [(n, r) for n, r in calls if r == 1 < n] == []
-        # every other point of cross-method-tables still asks the route
-        assert {(n, r) for n in range(1, 9) for r in range(n + 1) if not r == 1 < n} <= set(calls)
+        grid = [(n, r) for n in range(1, 9) for r in range(n + 1)]
+        assert set(grid) <= set(calls)
+        want = [poly.eulerian_triangle_recurrence(n, r) for n, r in grid]
+        for name in ("eulerian_triangle_recurrence", "_triangle_row"):
+            monkeypatch.setattr(poly, name, lambda n, r: pytest.fail("ran the first route"))
+        assert [climb(n, r) for n, r in grid] == want
 
     def test_budget_error_is_a_skip(self, capsys, monkeypatch):
         def over_budget():
@@ -318,6 +322,19 @@ class TestVerify:
         assert main(["verify", "chapter5", "--format", "json"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert all(r["elapsed"] >= 0.05 for r in results)
+
+    def test_time_is_counted_once_per_point(self, capsys):
+        assert main(["verify", "series", "--max-n", "5", "--order", "5", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        took = {}
+        for r in payload["results"]:
+            # the identities of one point share its params and its time
+            assert took.setdefault(r["point"], (r["params"], r["elapsed"])) == (r["params"], r["elapsed"])
+        assert sorted(took) == list(range(len(took)))
+        # exponential-formula returns three identities at one point
+        assert len(payload["results"]) > len(took)
+        # each elapsed is rounded to 0.001 s
+        assert sum(t for _, t in took.values()) <= payload["elapsed"] + 0.0005 * len(took)
 
     def test_budgets_shrink_or_leave_out_points(self):
         decl = Declaration(

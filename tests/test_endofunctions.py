@@ -6,26 +6,10 @@ implementations at small sizes.
 import itertools
 
 import pytest
+from references import literal_arborescence, literal_ultimately_idempotent
 
 from eulerian.endofunctions import canonical_factorization, count_class_functions, subdomains
 from eulerian.permutations import BudgetError, excedance_vector
-
-
-def iterate(word, k):
-    out = tuple(range(1, len(word) + 1))
-    for _ in range(k):
-        out = tuple(word[v - 1] for v in out)
-    return out
-
-
-def literal_ultimately_idempotent(word):
-    n = len(word)
-    return iterate(word, n) == iterate(word, n - 1)
-
-
-def literal_arborescence(word):
-    n = len(word)
-    return len(set(iterate(word, n - 1))) == 1
 
 
 class TestFactorization:
@@ -97,6 +81,11 @@ class TestCounts:
             assert count_class_functions(n, "arborescence") == n * count_class_functions(
                 n - 1, "ultimately_idempotent"
             )
+
+    def test_the_budget_stops_the_scan_before_any_map(self, monkeypatch):
+        monkeypatch.setattr(itertools, "product", lambda *args, **kwargs: pytest.fail("visited a map"))
+        with pytest.raises(BudgetError):
+            count_class_functions(8, "ultimately_idempotent")
 
     def test_budget(self):
         with pytest.raises(BudgetError):

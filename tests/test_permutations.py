@@ -10,6 +10,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import brute_descent_vector, brute_rise_vector
 
 from eulerian.cli import parse_permutation
 from eulerian.permutations import (
@@ -52,32 +53,6 @@ RUNNING = (6, 4, 1, 2, 5, 3)
 perm_words = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 )
-
-
-def brute_descent_vector(p):
-    """Direct evaluation of the defining formula with explicit boundary
-    values, independent of the library's index bookkeeping."""
-    n = len(p)
-
-    def sigma(j):
-        return p[j - 1] if 1 <= j <= n else 0
-
-    def sigma_inv(k):
-        return p.index(k) + 1 if 1 <= k <= n else 0
-
-    return tuple(max(0, sigma(sigma_inv(k) - 1) - (k - 1)) for k in range(1, n + 1))
-
-
-def brute_rise_vector(p):
-    n = len(p)
-
-    def sigma(j):
-        return p[j - 1] if 1 <= j <= n else 0
-
-    def sigma_inv(k):
-        return p.index(k) + 1 if 1 <= k <= n else 0
-
-    return tuple(max(0, sigma(1 + sigma_inv(k - 1)) - (k - 1)) for k in range(1, n + 1))
 
 
 class TestVectors:

@@ -21,11 +21,6 @@ BUDGETS = {"max_n": 6, "order": 6, "fn_scan_max": 4}
 
 # Reviewed overlaps: the declarations, and the functions their routes may share.
 ALLOWED = [
-    # the shift_recurrence route climbs from eulerian_polynomial(m), the first
-    # route's own column (it is not asked at r = 1 < n, where the climb would
-    # return that column); a climb from a column the first route does not
-    # compute is still open
-    ({"cross-method-tables"}, {"polynomials.eulerian_triangle_recurrence", "polynomials._triangle_row"}),
     # euler_numbers picks its route by a string, which perfbench/layers.py:231
     # pins; series._binomial_sum is the kernel product of TruncSeries, checked
     # against its Fraction reference in tests/test_series.py

@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import fundamental_by_keys, fundamental_inverse_by_segments, orbit_keys
 
 from eulerian.permutations import (
     CIRCULAR,
@@ -14,7 +15,6 @@ from eulerian.permutations import (
     enumerate_class,
     excedance_vector,
     is_in_class,
-    left_to_right_maxima,
     orbits,
     rise_vector,
 )
@@ -44,47 +44,6 @@ from eulerian.transforms import (
 )
 
 RUNNING = (6, 4, 1, 2, 5, 3)
-
-
-def orbit_keys(p):
-    """For each element k of 1..n, the pair (maximum of k's orbit, least
-    number of forward steps from k to that maximum).
-
-    The step count stays below the orbit length, and the n pairs are
-    pairwise distinct, so sorting them lexicographically totally orders the
-    elements; that order is the fundamental transformation.
-    """
-    n = len(p)
-    keys = [(0, 0)] * n
-    for orb in orbits(p):
-        size = len(orb)
-        im = max(range(size), key=orb.__getitem__)
-        m = orb[im]
-        for i, k in enumerate(orb):
-            keys[k - 1] = (m, (im - i) % size)
-    return tuple(keys)
-
-
-def fundamental_by_keys(p):
-    """The reference route for `fundamental`: sort the elements by their
-    orbit keys."""
-    keyed = sorted((key, k) for k, key in enumerate(orbit_keys(p), start=1))
-    return tuple(k for _, k in keyed)
-
-
-def fundamental_inverse_by_segments(tau):
-    """The reference route for `fundamental_inverse`: slice the word into
-    its segments from each left-to-right maximum, and read each segment as
-    an orbit traversed backwards from its maximum."""
-    n = len(tau)
-    out = [0] * (n + 1)
-    bounds = list(left_to_right_maxima(tau)) + [n + 1]
-    for a, b in zip(bounds, bounds[1:]):
-        seg = tau[a - 1 : b - 1]
-        for prev, cur in zip(seg, seg[1:]):
-            out[cur] = prev
-        out[seg[0]] = seg[-1]
-    return tuple(out[1:])
 
 
 large_perms = st.integers(50, 500).flatmap(lambda n: st.permutations(range(1, n + 1)))
@@ -117,11 +76,6 @@ class TestFundamental:
     def test_running_example(self):
         assert fundamental(RUNNING) == (4, 2, 5, 6, 1, 3)
 
-    def test_matches_orbit_key_sort(self):
-        for n in range(9):
-            for p in enumerate_class(n):
-                assert fundamental(p) == fundamental_by_keys(p)
-
     @given(large_perms)
     @settings(max_examples=40, deadline=None)
     def test_large_words(self, word):
@@ -130,11 +84,6 @@ class TestFundamental:
         assert image == fundamental_by_keys(p)
         assert fundamental_inverse(image) == p
         assert fundamental_inverse(p) == fundamental_inverse_by_segments(p)
-
-    def test_inverse_matches_segment_slicing(self):
-        for n in range(9):
-            for p in enumerate_class(n):
-                assert fundamental_inverse(p) == fundamental_inverse_by_segments(p)
 
     def test_identity_fixed(self):
         p = (1, 2, 3, 4, 5)
