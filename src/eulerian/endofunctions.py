@@ -1,7 +1,7 @@
 """
 Self-maps of {1..n}: connected-component structure, the canonical
 factorization into connected factors on relabelled domains, and exhaustive
-counts of tree-like map classes.
+counts of the ultimately idempotent maps.
 
 A map f is its image word (f(1), ..., f(n)), a plain tuple. Two points are
 equivalent when some forward iterates of f meet; the classes of that
@@ -67,36 +67,27 @@ def canonical_factorization(f) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     return tuple(out)
 
 
-def _cycles_are_loops(word) -> bool:
-    # every periodic point is a fixed point, i.e. iteration settles pointwise
-    n = len(word)
-    state = [0] * (n + 1)  # 0 unknown, 1 settles on a fixed point, 2 does not
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        k = start
-        while state[k] == 0:
-            state[k] = -1
-            path.append(k)
-            k = word[k - 1]
-        verdict = state[k] if state[k] > 0 else (1 if word[k - 1] == k else 2)
-        for v in path:
-            state[v] = verdict
-        if verdict == 2:
-            return False
-    return True
+def count_class_functions(n: int, kind: str) -> int:
+    """Exhaustively count the maps of {1..n} to itself of one class; the
+    only kind is 'ultimately_idempotent': the n-th iterate equals the
+    (n-1)-st, which happens exactly when every cycle of the functional graph
+    is a loop.
 
-
-def _count_ultimately_idempotent(n: int) -> int:
-    # every map is a prefix (f(1), ..., f(n-1)) and a last letter j = f(n).
-    # One walk of the prefix labels each point by where its chain ends: on a
-    # fixed point, at n (the one point not yet mapped), or on a longer
-    # cycle. A longer cycle rules out all n maps of the prefix; otherwise
-    # the map prefix + (j,) is valid exactly when its chain from j settles
-    # on a fixed point, and j = n closes a loop at n. So after end[n] is set
-    # to "settles", counting the label 1 judges each of the n maps by one
-    # lookup, at C speed.
+    Every map is a prefix (f(1), ..., f(n-1)) and a last letter j = f(n).
+    The scan walks each of the n^(n-1) prefixes once and labels each point
+    by where its chain ends: on a fixed point, at n (the one point not yet
+    mapped), or on a longer cycle. A longer cycle rules out all n maps of
+    the prefix; otherwise the map prefix + (j,) is valid exactly when its
+    chain from j settles on a fixed point, and j = n closes a loop at n. So
+    after the label of n is set to "settles", counting that label judges
+    each of the n maps by one lookup, at C speed; every map still gets its
+    own verdict.
+    """
+    if kind != "ultimately_idempotent":
+        raise ValueError(f"unknown kind {kind!r}")
+    if n == 0:
+        return 1
+    check_budget(n, DEFAULT_MAP_SCAN_BUDGET, "endofunction scan")
     count = 0
     for prefix in itertools.product(range(1, n + 1), repeat=n - 1):
         # 0 unlabelled, -1 on the current walk; then 1 settles on a fixed
@@ -121,28 +112,6 @@ def _count_ultimately_idempotent(n: int) -> int:
             end[n] = 1
             count += end.count(1)
     return count
-
-
-def count_class_functions(n: int, kind: str) -> int:
-    """Exhaustively count maps by class.
-
-    kind 'ultimately_idempotent': the n-th iterate equals the (n-1)-st, which
-    happens exactly when every cycle of the functional graph is a loop. The
-    scan walks each of the n^(n-1) prefixes (f(1), ..., f(n-1)) once and
-    judges each of its n maps by the label of its last letter; every map
-    still gets its own verdict.
-    kind 'arborescence': the image of the (n-1)-st iterate is a single point,
-    i.e. the map is connected and its one cycle is a loop.
-    """
-    if kind not in ("ultimately_idempotent", "arborescence"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if n == 0:
-        return 1 if kind == "ultimately_idempotent" else 0
-    check_budget(n, DEFAULT_MAP_SCAN_BUDGET, "endofunction scan")
-    if kind == "ultimately_idempotent":
-        return _count_ultimately_idempotent(n)
-    keep = lambda image: _cycles_are_loops(image) and len(subdomains(image)) == 1
-    return sum(map(keep, itertools.product(range(1, n + 1), repeat=n)))
 
 
 __all__ = [

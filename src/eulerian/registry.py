@@ -1,19 +1,47 @@
 """
 The check registry of the verification suites: every identity check is
 declared once, with its parameter grid at its stated scale and the budgets
-each point uses. ``cli.run_verification`` imports this module when it runs,
-so the other subcommands never load it.
+each point uses. Two-route checks are declared with ``_agree``, and the
+sweeps of chapter 1 as statistic transports with ``_transport``.
+``cli.run_verification`` imports this module when it runs, so the other
+subcommands never load it.
 """
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import polynomials as poly
 from . import series as ser
 from . import transforms as tr
 from . import words
+from .permutations import (
+    ALL,
+    ALTERNATING,
+    BIEXCEDENT,
+    CIRCULAR,
+    DERANGEMENT,
+    FIRST_IS_N,
+    LAST_IS_1,
+    SUCCESSION_FREE,
+    ClassTag,
+    class_size,
+    delta,
+    delta_power,
+    descent_plus_certificate,
+    descent_vector,
+    dprime_vector,
+    enumerate_class,
+    excedance_vector,
+    fixed_point_vector,
+    is_in_class,
+    left_to_right_maxima,
+    orbits,
+    positive_count,
+    rise_vector,
+)
 from .polynomials import Identity
 
 Outcome = Identity | list[tuple[str, Identity]]
@@ -64,9 +92,124 @@ def _agree(first: Callable[..., object], **routes: Callable[..., object]) -> Cal
     return run
 
 
-def _both_identities(pair: tuple[Identity, Identity]) -> Identity:
-    eq_exp, eq_inv = pair
-    return eq_exp if not eq_exp.ok else eq_inv
+def _first_failure(identities: Iterable[Identity]) -> Identity:
+    # the first identity that fails, else the last one
+    for ident in identities:
+        if not ident.ok:
+            break
+    return ident
+
+
+def _all_of(*checks: Callable[..., Identity]) -> Callable[..., Identity]:
+    return lambda **point: _first_failure(check(**point) for check in checks)
+
+
+_CHUNK = 1024
+
+
+def _transport(
+    bij: Callable[[tuple[int, ...]], tuple[int, ...]],
+    source: ClassTag,
+    *pairs: tuple[str, Callable, Callable],
+    onto: ClassTag | None = None,
+    size: Callable[[int], int] = lambda n: n,
+) -> Callable[[int], Identity]:
+    """A statistic transport at size n: ``bij`` carries each word p of the
+    class ``source`` of size ``size(n)`` to q = bij(p), and f(p) == g(q) for
+    each named pair ``(name, f, g)``. With ``onto``, bij is also one-to-one
+    onto that class of size n: every image is a word of {1..n} in it, no two
+    words share an image, and there are as many images as the class has
+    members. Without ``onto``, bij may be any map, the statistic both sides
+    read, say. A failure names the pair or clause at fault and its first
+    word.
+
+    The words are swept in chunks: bij runs once per word, each pair
+    compares the f-values of a chunk with the g-values of its images, and
+    the witness is looked for only after a mismatch."""
+
+    def run(n: int) -> Identity:
+        sweep = enumerate_class(size(n), source)
+        letters = list(range(1, n + 1))
+
+        def member(q: tuple[int, ...]) -> bool:
+            # a word of {1..n} first: a class predicate may never return on
+            # a word that is not a permutation (the circular one walks p(1), ...)
+            return sorted(q) == letters and is_in_class(q, onto)
+
+        images: set[tuple[int, ...]] = set()
+        swept = 0
+        while chunk := list(islice(sweep, _CHUNK)):
+            out = list(map(bij, chunk))
+            for name, f, g in pairs:
+                if list(map(f, chunk)) != list(map(g, out)):
+                    p, q = next((p, q) for p, q in zip(chunk, out) if f(p) != g(q))
+                    return Identity(False, f(p), g(q), f"{name} at {p}")
+            if onto is not None:
+                if not all(map(member, out)):
+                    p, q = next((p, q) for p, q in zip(chunk, out) if not member(q))
+                    return Identity(False, q, onto.kind, f"image outside the class at {p}")
+                images.update(out)
+            swept += len(chunk)
+        if onto is None:
+            return Identity(True, swept, swept)
+        if len(images) != swept:
+            return Identity(False, len(images), swept, "two words share an image")
+        target = class_size(n, onto)
+        return Identity(swept == target, swept, target, "image count")
+
+    return run
+
+
+def _word(p: tuple[int, ...]) -> tuple[int, ...]:
+    return p
+
+
+def _in(tag: ClassTag) -> Callable[[tuple[int, ...]], bool]:
+    return lambda p: is_in_class(p, tag)
+
+
+def _last(p: tuple[int, ...]) -> tuple[int, ...]:
+    return p[-1:]
+
+
+def _lowered(vector: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    # delta of the statistic vector; the empty word has the empty vector
+    return lambda p: delta(vector(p)) if p else ()
+
+
+def _orbit_maxima(p: tuple[int, ...]) -> set[int]:
+    return {max(orb) for orb in orbits(p)}
+
+
+def _record_values(q: tuple[int, ...]) -> set[int]:
+    return {q[j - 1] for j in left_to_right_maxima(q)}
+
+
+def _cyclic_valleys(p: tuple[int, ...]) -> set[int]:
+    # the points k below both p(k) and their preimage i, read along each arrow i -> k
+    return {k for i, k in enumerate(p, start=1) if k < i and k < p[k - 1]}
+
+
+def _word_valleys(q: tuple[int, ...]) -> set[int]:
+    # the letters below both neighbours, from the second position on; the
+    # last letter has only its left neighbour
+    ext = q + (len(q) + 1,)
+    return {ext[j] for j in range(1, len(q)) if ext[j - 1] > ext[j] < ext[j + 1]}
+
+
+def _odd_cycles(p: tuple[int, ...]) -> int:
+    return sum(len(orb) % 2 for orb in orbits(p))
+
+
+def _top_then_complement(q: tuple[int, ...]) -> tuple[int, ...]:
+    # complement a size-(n-1) word into {1..n-1} and prepend n
+    n = len(q) + 1
+    return (n,) + tuple([n - v for v in q])
+
+
+def _descent_letters(w: tuple[int, ...]) -> int:
+    letters = words.valley_word(w)
+    return letters.count(words.Letter.DESCENT) + letters.count(words.Letter.MARKED_DESCENT)
 
 
 def _exponential_formulas(order: int) -> list[tuple[str, Identity]]:
@@ -77,7 +220,7 @@ def _exponential_formulas(order: int) -> list[tuple[str, Identity]]:
         "matrix-entries": ser.matrix_entry_weight(2, 1, 3),
     }
     bundle = ser.exponential_formula_bundle(weights, order)
-    return [(f"exponential-formula-{label}", _both_identities(pair)) for label, pair in bundle.items()]
+    return [(f"exponential-formula-{label}", _first_failure(pair)) for label, pair in bundle.items()]
 
 
 def _sizes(first: int, last: int) -> list[dict[str, int]]:
@@ -95,20 +238,124 @@ def _registry() -> tuple[Declaration, ...]:
     """Every check of the four suites. The tuple is built at each run, so a
     check is whatever function its module holds at that moment."""
     return (
-        Declaration("chapter1", "fundamental-statistics", tr.check_fundamental_statistics, _sizes(0, 8), _SWEEP),
-        Declaration("chapter1", "fundamental-bijection", tr.check_fundamental_bijection, _sizes(0, 8), _SWEEP),
-        Declaration("chapter1", "fundamental-roundtrip", tr.check_fundamental_roundtrip, _sizes(0, 8), _SWEEP),
-        Declaration("chapter1", "record-orbit-lemma", tr.check_record_orbit_lemma, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "valley-position-lemma", tr.check_valley_position_lemma, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "biexcedent-alternating", tr.check_biexcedent_alternating, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "rise-transport", tr.check_rise_transport, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "descent-transport", tr.check_descent_transport, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "circular-embedding", tr.check_circular_embedding, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "reverse-rise", tr.check_reverse_rise, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "complement-count", tr.check_complement_count, _sizes(1, 8), _SWEEP),
-        Declaration("chapter1", "fixed-point-split", tr.check_fixed_point_split, _sizes(1, 8), _SWEEP),
         Declaration(
-            "chapter1", "rotation-shift", tr.check_rotation_shift,
+            "chapter1", "fundamental-statistics",
+            _transport(
+                tr.fundamental, ALL,
+                ("excedances to descents plus certificate", excedance_vector, descent_plus_certificate),
+                ("lowered excedances to lowered descents", _lowered(excedance_vector), _lowered(descent_vector)),
+            ),
+            _sizes(0, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "fundamental-bijection",
+            _all_of(
+                _transport(tr.fundamental, ALL, ("last letter", _last, _last), onto=ALL),
+                _transport(tr.fundamental, CIRCULAR, onto=FIRST_IS_N),
+            ),
+            _sizes(0, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "fundamental-roundtrip",
+            _all_of(
+                _transport(tr.fundamental, ALL, ("inverse after fundamental", _word, tr.fundamental_inverse)),
+                _transport(tr.fundamental_inverse, ALL, ("fundamental after inverse", _word, tr.fundamental)),
+            ),
+            _sizes(0, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "record-orbit-lemma",
+            _transport(
+                tr.fundamental, ALL,
+                ("orbit maxima to record values", _orbit_maxima, _record_values),
+                # k is fixed iff it is a record value that sits last or before another record
+                ("fixed points to the certificate", fixed_point_vector, dprime_vector),
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "valley-position-lemma",
+            _transport(tr.fundamental, ALL, ("cyclic valleys to word valleys", _cyclic_valleys, _word_valleys)),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "biexcedent-alternating",
+            # in odd size every word has an odd cycle, so the class must be empty
+            lambda n: _transport(
+                tr.fundamental, BIEXCEDENT, ("odd cycles", _odd_cycles, lambda q: 0),
+                onto=None if n % 2 else ALTERNATING,
+            )(n),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "rise-transport",
+            _transport(
+                tr.excedance_to_rise, ALL,
+                ("excedances to rises", excedance_vector, rise_vector),
+                ("derangements to succession-free words", _in(DERANGEMENT), _in(SUCCESSION_FREE)),
+                onto=ALL,
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "descent-transport",
+            _transport(
+                tr.excedance_to_descent, LAST_IS_1,
+                ("lowered excedances to lowered descents", _lowered(excedance_vector), _lowered(descent_vector)),
+                onto=FIRST_IS_N,
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "circular-embedding",
+            _transport(
+                tr.to_circular, ALL, ("excedances to lowered excedances", excedance_vector, _lowered(excedance_vector)),
+                onto=CIRCULAR, size=lambda n: n - 1,
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "reverse-rise",
+            _transport(
+                tr.reverse, ALL,
+                ("last letter and lowered descents to rises", lambda p: p[-1:] + delta(descent_vector(p)), rise_vector),
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "complement-count",
+            _transport(
+                tr.complement_reverse, ALL,
+                (
+                    "n minus positive lowered excedances to positive excedances",
+                    lambda p: len(p) - positive_count(delta(excedance_vector(p))),
+                    lambda q: positive_count(excedance_vector(q)),
+                ),
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "fixed-point-split",
+            _transport(
+                excedance_vector, ALL,
+                (
+                    "fixed points to the positive entries that lowering loses",
+                    lambda p: positive_count(fixed_point_vector(p)),
+                    lambda e: positive_count(e) - positive_count(delta(e)),
+                ),
+            ),
+            _sizes(1, 8), _SWEEP,
+        ),
+        Declaration(
+            "chapter1", "rotation-shift",
+            lambda n, r: _transport(
+                lambda p: tr.word_rotate(p, r), ALL,
+                (
+                    "cropped excedances to lowered excedances of the rotation",
+                    lambda p: excedance_vector(p)[r:],
+                    lambda q: delta_power(excedance_vector(q), r),
+                ),
+            )(n),
             [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
         ),
         Declaration(
@@ -204,7 +451,7 @@ def _registry() -> tuple[Declaration, ...]:
         Declaration("series", "exponential-formula", _exponential_formulas, _ORDER_10, _SERIES_SWEEP),
         Declaration(
             "series", "exponential-formula-fixed-point-split",
-            lambda order: _both_identities(
+            lambda order: _first_failure(
                 ser.exponential_formula_bundle({"weight": ser.fixed_point_split_weight}, order)["weight"]
             ),
             [{"order": range(8)}], _SERIES_SWEEP,
@@ -239,7 +486,20 @@ def _registry() -> tuple[Declaration, ...]:
             "chapter5", "secant-alternating-sum", words.check_secant_alternating_sum, [{"p": p} for p in range(1, 6)],
             {"max_n": lambda pt: 2 * pt["p"]},
         ),
-        Declaration("chapter5", "reversal-bridge", words.check_reversal_bridge, _sizes(2, 7), _SWEEP),
+        Declaration(
+            "chapter5", "reversal-bridge",
+            _transport(
+                _top_then_complement, ALL,
+                ("ascents to descent letters", lambda q: sum(map(lt, q, q[1:])) + 1, _descent_letters),
+                (
+                    "valleys to marked pairs",
+                    lambda q: sum(a > b < c for a, b, c in zip(q, q[1:], q[2:])) + 1,
+                    lambda w: words.valley_word(w).count(words.Letter.MARKED_DESCENT),
+                ),
+                onto=FIRST_IS_N, size=lambda n: n - 1,
+            ),
+            _sizes(2, 7), _SWEEP,
+        ),
         Declaration(
             "chapter5", "euler-number-modes",
             _agree(

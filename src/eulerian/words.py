@@ -245,35 +245,12 @@ def check_secant_alternating_sum(p: int) -> Identity:
     return Identity(ok, (lhs, bi, bi_circ), (t_even, t_even, t_odd))
 
 
-def check_reversal_bridge(n: int) -> Identity:
-    """Complement a size-(n-1) word into {1..n-1} and prepend n: descent
-    letters of the valley word then count one more than the ascents of the
-    source, and marked pairs one more than its valleys."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    for q in perms.enumerate_class(n - 1, perms.ALL):
-        image = (n,) + tuple([n - v for v in q])
-        word = valley_word(image)
-        d_letters = sum(1 for x in word if x in (Letter.DESCENT, Letter.MARKED_DESCENT))
-        ascents = sum(1 for j in range(1, n - 1) if q[j] > q[j - 1])
-        if d_letters != ascents + 1:
-            return Identity(False, d_letters, ascents + 1, f"descent count at {q}")
-        pairs = sum(1 for x in word if x is Letter.MARKED_DESCENT)
-        valleys = sum(
-            1 for j in range(n - 3) if q[j] > q[j + 1] and q[j + 1] < q[j + 2]
-        )
-        if pairs != valleys + 1:
-            return Identity(False, pairs, valleys + 1, f"valley count at {q}")
-    return Identity(True, n, n)
-
-
 __all__ = [
     "Letter",
     "Word",
     "c_triangle",
     "c_triangle_by_abelianization",
     "check_derivation_step",
-    "check_reversal_bridge",
     "check_secant_alternating_sum",
     "check_tangent_alternating_sum",
     "check_valley_expansion",

@@ -132,6 +132,29 @@ def iterate(word, k):
     return out
 
 
+def cycles_are_loops(word):
+    """Every periodic point is a fixed point, i.e. iteration settles
+    pointwise: the per-map test that the prefix-split scan of
+    ``count_class_functions`` replaced."""
+    n = len(word)
+    state = [0] * (n + 1)  # 0 unknown, 1 settles on a fixed point, 2 does not
+    for start in range(1, n + 1):
+        if state[start]:
+            continue
+        path = []
+        k = start
+        while state[k] == 0:
+            state[k] = -1
+            path.append(k)
+            k = word[k - 1]
+        verdict = state[k] if state[k] > 0 else (1 if word[k - 1] == k else 2)
+        for v in path:
+            state[v] = verdict
+        if verdict == 2:
+            return False
+    return True
+
+
 def literal_ultimately_idempotent(word):
     n = len(word)
     return iterate(word, n) == iterate(word, n - 1)

@@ -10,8 +10,8 @@ import pytest
 
 from eulerian import permutations as perms
 from eulerian import polynomials as poly
+from eulerian import registry
 from eulerian import series as ser
-from eulerian import transforms as tr
 from eulerian import words
 from eulerian.permutations import BudgetError
 
@@ -31,7 +31,11 @@ ROUTE_SELECTORS = {"mode", "via", "stat", "kind"}
         pytest.param(lambda: poly.injection_polynomial(11, 1), None, id="injection"),
         pytest.param(lambda: poly.stirling2_by_quasi_permutations(9, 3), None, id="quasi-permutation"),
         pytest.param(lambda: words.word_multiset(11), None, id="word-multiset"),
-        pytest.param(lambda: tr.check_fundamental_statistics(11), None, id="fundamental-statistics"),
+        pytest.param(
+            lambda: next(d.run for d in registry._registry() if d.name == "fundamental-statistics")(n=11),
+            None,
+            id="fundamental-statistics",
+        ),
         pytest.param(lambda: ser.check_mixed_egf_exponential_form(11), None, id="mixed-egf-exponential-form"),
         pytest.param(lambda: ser.check_mixed_egf_closed_form(11), None, id="mixed-egf-closed-form"),
         # these two sweep every size up to n, so the guard must fire before the smallest

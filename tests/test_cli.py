@@ -29,7 +29,7 @@ from eulerian.cli import (
 )
 from eulerian.permutations import BudgetError
 from eulerian.polynomials import Identity
-from eulerian.registry import Declaration, _agree, _registry
+from eulerian.registry import Declaration, _agree, _registry, _transport
 
 GOLDEN_R5_TEXT = """r=5
 n=5: 1
@@ -265,6 +265,28 @@ class TestVerify:
         check = _agree(lambda n: n, same=lambda n: n, not_here=lambda n: None, off=lambda n: n + 1)
         assert check(n=2) == Identity(False, 3, 2, "route off")
         assert _agree(lambda n: n, not_here=lambda n: None)(n=2).ok
+
+    def test_a_transport_pair_that_disagrees_fails_with_its_name_and_first_word(self):
+        check = _transport(tr.reverse, perms.ALL, ("first letter", lambda p: p[:1], lambda q: q[:1]))
+        assert check(1).ok
+        assert check(3) == Identity(False, (1,), (3,), "first letter at (1, 2, 3)")
+
+    def test_a_transport_that_is_not_one_to_one_fails_the_count(self):
+        check = _transport(lambda p: tuple(sorted(p)), perms.ALL, onto=perms.ALL)
+        assert check(3) == Identity(False, 1, 6, "two words share an image")
+
+    def test_a_transport_image_outside_its_class_fails(self):
+        # (1, 2, 3) reverses into the class; (1, 3, 2) is the first word that does not
+        check = _transport(tr.reverse, perms.ALL, onto=perms.FIRST_IS_N)
+        assert check(3) == Identity(False, (2, 3, 1), "first_is_n", "image outside the class at (1, 3, 2)")
+
+    def test_a_transport_onto_part_of_its_class_fails_the_count(self):
+        # one-to-one into S_3, but only onto the two words starting with 3;
+        # the source may also be one size below the target
+        check = _transport(lambda p: p, perms.FIRST_IS_N, onto=perms.ALL)
+        assert check(3) == Identity(False, 2, 6, "image count")
+        prepend = _transport(lambda p: (len(p) + 1,) + p, perms.ALL, onto=perms.FIRST_IS_N, size=lambda n: n - 1)
+        assert prepend(4).ok
 
     def test_shift_recurrence_route_never_returns_the_first_route(self, monkeypatch):
         # the climb starts from a column of its own, so it is asked at every

@@ -4,6 +4,8 @@ independent reference from ``references.py`` on every input its domain
 lists, and on large inputs that hypothesis draws where the domain has
 them."""
 import itertools
+from collections import Counter
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from references import (
     brute_descent_vector,
     brute_rise_vector,
+    cycles_are_loops,
     dprime_by_maxima_set,
     fundamental_by_keys,
     fundamental_by_preimage_segments,
@@ -19,8 +22,16 @@ from references import (
     literal_ultimately_idempotent,
 )
 
-from eulerian.endofunctions import _cycles_are_loops, count_class_functions
-from eulerian.permutations import descent_vector, dprime_vector, enumerate_class, rise_vector
+from eulerian.endofunctions import count_class_functions
+from eulerian.permutations import (
+    _GENERATORS,
+    ClassTag,
+    descent_vector,
+    dprime_vector,
+    enumerate_class,
+    is_in_class,
+    rise_vector,
+)
 from eulerian.transforms import fundamental, fundamental_inverse
 
 
@@ -37,6 +48,8 @@ WORDS = Domain(
 # the sizes n of the maps of {1..n} to itself, every map of each size swept
 MAPS_UP_TO_7 = Domain(lambda: range(8))
 MAPS_UP_TO_5 = Domain(lambda: range(6))
+# each class that enumerate_class generates directly, at every size n <= 8
+GENERATED_CLASSES = Domain(lambda: itertools.product(sorted(set(_GENERATORS) - {"all"}), range(9)))
 
 
 def ultimately_idempotent(n):
@@ -44,11 +57,22 @@ def ultimately_idempotent(n):
 
 
 def loops_over_every_map(n):
-    return sum(map(_cycles_are_loops, itertools.product(range(1, n + 1), repeat=n)))
+    return sum(map(cycles_are_loops, itertools.product(range(1, n + 1), repeat=n)))
 
 
 def literal_over_every_map(n):
     return sum(map(literal_ultimately_idempotent, itertools.product(range(1, n + 1), repeat=n)))
+
+
+def generated_class(case):
+    # a Counter, so that a word generated twice shows
+    kind, n = case
+    return Counter(enumerate_class(n, ClassTag(kind)))
+
+
+def filtered_class(case):
+    kind, n = case
+    return Counter(filter(partial(is_in_class, tag=ClassTag(kind)), itertools.permutations(range(1, n + 1))))
 
 
 TABLE = [
@@ -60,6 +84,7 @@ TABLE = [
     (dprime_vector, dprime_by_maxima_set, WORDS),
     (ultimately_idempotent, loops_over_every_map, MAPS_UP_TO_7),
     (ultimately_idempotent, literal_over_every_map, MAPS_UP_TO_5),
+    (generated_class, filtered_class, GENERATED_CLASSES),
 ]
 LARGE = [row for row in TABLE if row[2].large is not None]
 

@@ -18,20 +18,8 @@ from eulerian.permutations import (
     orbits,
     rise_vector,
 )
+from eulerian.registry import _registry
 from eulerian.transforms import (
-    check_biexcedent_alternating,
-    check_circular_embedding,
-    check_complement_count,
-    check_descent_transport,
-    check_fixed_point_split,
-    check_fundamental_bijection,
-    check_fundamental_roundtrip,
-    check_fundamental_statistics,
-    check_record_orbit_lemma,
-    check_reverse_rise,
-    check_rise_transport,
-    check_rotation_shift,
-    check_valley_position_lemma,
     complement_reverse,
     excedance_to_descent,
     excedance_to_rise,
@@ -44,6 +32,8 @@ from eulerian.transforms import (
 )
 
 RUNNING = (6, 4, 1, 2, 5, 3)
+# the exhaustive certifications, as the verify registry declares them
+DECLARED = {decl.name: decl.run for decl in _registry()}
 
 
 large_perms = st.integers(50, 500).flatmap(lambda n: st.permutations(range(1, n + 1)))
@@ -102,7 +92,7 @@ class TestFundamental:
 
     def test_roundtrip_exhaustive(self):
         for n in range(7):
-            assert check_fundamental_roundtrip(n).ok
+            assert DECLARED["fundamental-roundtrip"](n=n).ok
 
 
 class TestSimpleMaps:
@@ -155,7 +145,7 @@ class TestComposites:
 
     def test_descent_map_bijection_and_transport(self):
         for n in (1, 2, 5, 6):
-            assert check_descent_transport(n).ok
+            assert DECLARED["descent-transport"](n=n).ok
 
     def test_descent_map_statistics_exhaustive(self):
         for p in enumerate_class(6, LAST_IS_1):
@@ -172,7 +162,7 @@ class TestComposites:
 
     def test_circular_embedding_statistics(self):
         for n in (2, 5, 6):
-            assert check_circular_embedding(n).ok
+            assert DECLARED["circular-embedding"](n=n).ok
 
 
 class TestLargeWords:
@@ -201,45 +191,45 @@ class TestLargeWords:
 
 
 class TestCertifications:
-    """Exhaustive transported-statistic suites at unit-test scale."""
+    """The registry's transport declarations at unit-test scale."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_fundamental_statistics(self, n):
-        assert check_fundamental_statistics(n).ok
+        assert DECLARED["fundamental-statistics"](n=n).ok
 
     @pytest.mark.parametrize("n", range(7))
     def test_fundamental_bijection(self, n):
-        assert check_fundamental_bijection(n).ok
+        assert DECLARED["fundamental-bijection"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_record_orbit_lemma(self, n):
-        assert check_record_orbit_lemma(n).ok
+        assert DECLARED["record-orbit-lemma"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_valley_position_lemma(self, n):
-        assert check_valley_position_lemma(n).ok
+        assert DECLARED["valley-position-lemma"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_biexcedent_alternating(self, n):
-        assert check_biexcedent_alternating(n).ok
+        assert DECLARED["biexcedent-alternating"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rise_transport(self, n):
-        assert check_rise_transport(n).ok
+        assert DECLARED["rise-transport"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_reverse_rise(self, n):
-        assert check_reverse_rise(n).ok
+        assert DECLARED["reverse-rise"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rotation_shift(self, n):
         for r in range(n + 1):
-            assert check_rotation_shift(n, r).ok
+            assert DECLARED["rotation-shift"](n=n, r=r).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complement_count(self, n):
-        assert check_complement_count(n).ok
+        assert DECLARED["complement-count"](n=n).ok
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_fixed_point_split(self, n):
-        assert check_fixed_point_split(n).ok
+        assert DECLARED["fixed-point-split"](n=n).ok

@@ -16,12 +16,12 @@ from eulerian.permutations import (
     is_in_class,
     positive_count,
 )
+from eulerian.registry import _registry
 from eulerian.words import (
     Letter,
     c_triangle,
     c_triangle_by_abelianization,
     check_derivation_step,
-    check_reversal_bridge,
     check_secant_alternating_sum,
     check_tangent_alternating_sum,
     check_valley_expansion,
@@ -219,4 +219,6 @@ class TestEulerNumbers:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_reversal_bridge(self, n):
-        assert check_reversal_bridge(n).ok
+        # the bridge is declared in the verify registry as a statistic transport
+        bridge = next(decl.run for decl in _registry() if decl.name == "reversal-bridge")
+        assert bridge(n=n).ok
