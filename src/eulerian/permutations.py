@@ -243,15 +243,15 @@ def r_tail_ordered(r: int) -> ClassTag:
 
 
 def _is_circular(word) -> bool:
+    # the orbit of 1 returns to 1 after exactly n steps; at most n steps are
+    # walked, so a word that is not a permutation gets an answer too
     n = len(word)
-    if n == 0:
-        return False
-    cnt = 1
-    k = word[0]
-    while k != 1:
+    k = 1
+    for steps in range(1, n + 1):
         k = word[k - 1]
-        cnt += 1
-    return cnt == n
+        if k == 1:
+            return steps == n
+    return False
 
 
 def _is_succession_free(word) -> bool:

@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import permutations as perms
 from .permutations import DEFAULT_PERM_BUDGET, check_budget
@@ -147,16 +147,7 @@ class Poly:
         refused: its digits -1 and 0 cannot write a positive value."""
         if k < 2:
             raise ValueError(f"balanced digits need width k >= 2, got {k}")
-        mask, half = (1 << k) - 1, 1 << (k - 1)
-        out = []
-        while value:
-            digit = value & mask
-            value >>= k
-            if digit >= half:
-                digit -= 1 << k
-                value += 1
-            out.append(digit)
-        return cls(out)
+        return cls(balanced_digits(value, k))
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
@@ -166,6 +157,20 @@ class Poly:
         if any(self.coeffs[:k]):
             raise ArithmeticError(f"{self!r} is not divisible by the variable")
         return Poly(self.coeffs[k:])
+
+
+def balanced_digits(value: int, k: int) -> Iterator[int]:
+    """The balanced base-2**k digits of `value`, least significant first,
+    each in [-2**(k-1), 2**(k-1)); needs k >= 2 (see
+    :meth:`Poly.from_balanced_digits`)."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    while value:
+        digit = value & mask
+        value >>= k
+        if digit >= half:
+            digit -= 1 << k
+            value += 1
+        yield digit
 
 
 #: the polynomial variable (t at the base level)
@@ -680,6 +685,7 @@ __all__ = [
     "T",
     "abar_polynomial",
     "as_int",
+    "balanced_digits",
     "check_divisibility_and_mass",
     "check_mixed_specializations",
     "check_multiset_transport",

@@ -132,8 +132,8 @@ def _transport(
         letters = list(range(1, n + 1))
 
         def member(q: tuple[int, ...]) -> bool:
-            # a word of {1..n} first: a class predicate may never return on
-            # a word that is not a permutation (the circular one walks p(1), ...)
+            # a word of {1..n} first: a class holds permutations only, and
+            # its predicate reads its input as one
             return sorted(q) == letters and is_in_class(q, onto)
 
         images: set[tuple[int, ...]] = set()
@@ -355,6 +355,7 @@ def _registry() -> tuple[Declaration, ...]:
                     lambda p: excedance_vector(p)[r:],
                     lambda q: delta_power(excedance_vector(q), r),
                 ),
+                ("first r letters to the last r letters", lambda p: p[:r], lambda q: q[len(q) - r :]),
             )(n),
             [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
         ),

@@ -27,6 +27,7 @@ from .polynomials import (
     Poly,
     T,
     abar_polynomial,
+    balanced_digits,
     eulerian_polynomial,
     eulerian_shift_recurrence,
     eulerian_triangle_recurrence,
@@ -43,6 +44,21 @@ def _binomial_sum(n: int, xs: Sequence, ys: Sequence, start: int = 0):
         if x and y:
             acc = acc + comb(n, i) * x * y
     return acc
+
+
+def _majorant_width(norms: Sequence[int]) -> int:
+    """A digit width k with 2**(k-1) above every coefficient of every EGF
+    value of the reciprocal of a unit series whose n-th EGF value has
+    1-norm norms[n].
+
+    The bound is the 1-norm majorant of the reciprocal's recurrence,
+    M_0 = 1 and M_n = sum over i >= 1 of C(n, i) norms[i] M_(n-i): the
+    1-norm of a product is at most the product of the 1-norms, so by
+    induction M_n bounds the 1-norm of the n-th result value."""
+    bound = [1]
+    for n in range(1, len(norms)):
+        bound.append(_binomial_sum(n, norms, bound, 1))
+    return max(bound).bit_length() + 1
 
 
 class TruncSeries:
@@ -164,12 +180,7 @@ class TruncSeries:
         """For EGF values that are ints or integer polynomials in one
         variable, at least one of them a polynomial, a digit width k with
         2**(k-1) above every coefficient of every EGF value of the
-        reciprocal; 0 for any other series.
-
-        The bound is the 1-norm majorant of the reciprocal's recurrence,
-        M_0 = 1 and M_n = sum over i >= 1 of C(n, i) |a_i|_1 M_(n-i): the
-        1-norm of a product is at most the product of the 1-norms, so by
-        induction M_n bounds the 1-norm of the n-th result value."""
+        reciprocal (see :func:`_majorant_width`); 0 for any other series."""
         norms = []
         univariate = False
         for c in self.coeffs:
@@ -182,12 +193,7 @@ class TruncSeries:
                 norms.append(abs(c))
             else:
                 return 0
-        if not univariate:
-            return 0
-        bound = [1]
-        for n in range(1, self.order + 1):
-            bound.append(_binomial_sum(n, norms, bound, 1))
-        return max(bound).bit_length() + 1
+        return _majorant_width(norms) if univariate else 0
 
     def exp(self) -> "TruncSeries":
         a = self.coeffs
@@ -367,72 +373,130 @@ def determinant(mat: SquareMatrix):
 # ---------------------------------------------------------------------------
 # closed forms of the excedance generating functions
 #
-# Bivariate coefficients follow the nesting convention of the polynomials
-# module: inner variable t, outer variable t'.
+# Each closed form is (1 - t) / D for a denominator D = sum over j of
+# d_j exp(c_j u), declared by its terms (d_j, c_j); the d_j sum to 1 - t, the
+# constant term of D. Bivariate values follow the nesting convention of the
+# polynomials module, inner variable t and outer variable t', and a bivariate
+# term is an outer polynomial whose coefficients are all Poly values, so that
+# it is never read as a polynomial in t.
+
+_CLASSICAL = ((1, T - 1), (-T, 0))  # exp((t - 1)u) - t
+_DERANGEMENT = ((1, T), (-T, 1))  # exp(t u) - t exp(u)
+_ZERO_SHIFT = ((1, 0), (-T, 1 - T))  # 1 - t exp((1 - t)u)
+_MIXED = (
+    (1, Poly((T, Poly((-1,))))),  # exp((t - t')u)
+    (-T, Poly((Poly((1,)), Poly((-1,))))),  # -t exp((1 - t')u)
+)
 
 
-def _over_one_minus_t_exact(c):
-    """Divide a (possibly nested) coefficient by 1 - t exactly: the quotient's
-    t-coefficients are the prefix sums of the dividend's, and a nonzero total
-    is the remainder."""
-    if not isinstance(c, Poly):
-        if c:
-            raise ArithmeticError(f"scalar {c!r} is not divisible by 1 - t")
-        return 0
-    if any(isinstance(x, Poly) for x in c.coeffs):
-        return Poly(tuple(_over_one_minus_t_exact(x) for x in c.coeffs))
-    sums = list(itertools.accumulate(c.coeffs))
-    if sums and sums[-1]:
-        raise ArithmeticError(f"nonzero remainder dividing {c!r} by 1 - t")
-    return Poly(sums)
+def _at(term, x):
+    """A term at t = x; a bivariate one stays a polynomial in t'."""
+    if not isinstance(term, Poly):
+        return term
+    if any(isinstance(c, Poly) for c in term.coeffs):
+        return Poly(tuple(c.eval(x) if isinstance(c, Poly) else c for c in term.coeffs))
+    return term.eval(x)
 
 
-def _over_one_minus_t(den: TruncSeries, at=None) -> TruncSeries:
-    """(1 - t) / den for a denominator with constant term 1 - t: cancel that
-    factor from every coefficient exactly, then take the reciprocal of the
-    unit series. With `at`, t = at is substituted into the unit series first,
-    so the reciprocal runs over scalars; substitution is a ring homomorphism
-    and the unit's constant term stays 1 at every value, so the result is the
-    bivariate reciprocal evaluated at t = at."""
-    unit = den.map_coefficients(_over_one_minus_t_exact)
-    if at is not None:
-        unit = unit.substitute(at)
-    return unit.reciprocal()
+def _exact_quotient(value, divisor: int):
+    """value / divisor for an int, or for a polynomial in t' over the ints,
+    coefficient by coefficient; a remainder raises."""
+    if isinstance(value, Poly):
+        return Poly(tuple(_exact_quotient(c, divisor) for c in value.coeffs))
+    q, rem = divmod(value, divisor)
+    if rem:
+        raise ArithmeticError(f"nonzero remainder dividing {value!r} by 1 - t = {divisor}")
+    return q
+
+
+def _unit_values(terms, order: int, x) -> list:
+    """The EGF values D_n / (1 - t) of the unit series D / (1 - t) at t = x,
+    n <= order, where D_n = sum over j of d_j c_j**n: exact division at an
+    int point, plain division at any other."""
+    columns = (
+        map(mul, itertools.repeat(_at(d, x)), itertools.accumulate(itertools.repeat(_at(c, x), order), mul, initial=1))
+        for d, c in terms
+    )
+    dens = map(sum, zip(*columns))
+    if isinstance(x, int):
+        return list(map(_exact_quotient, dens, itertools.repeat(1 - x)))
+    return [den / (1 - x) for den in dens]
+
+
+def _norm(x) -> int:
+    """The 1-norm of an int or a (nested) integer polynomial."""
+    return sum(map(_norm, x.coeffs)) if isinstance(x, Poly) else abs(x)
+
+
+def _digit_norm(value, k: int) -> int:
+    """The 1-norm of the polynomial in t that :func:`_decode` reads from a
+    value at t = 2**k, without building it."""
+    if isinstance(value, Poly):
+        return sum(_digit_norm(c, k) for c in value.coeffs)
+    return sum(map(abs, balanced_digits(value, k)))
+
+
+def _decode(value, k: int):
+    """Read a value at t = 2**k back as a polynomial in t (see
+    :meth:`Poly.from_balanced_digits`); a polynomial in t' coefficientwise."""
+    if isinstance(value, Poly):
+        return Poly(tuple(Poly.from_balanced_digits(c, k) for c in value.coeffs))
+    return Poly.from_balanced_digits(value, k)
+
+
+def _closed_form(terms, order: int, at=None) -> TruncSeries:
+    """(1 - t) / D for the declared terms of D, computed at one point.
+
+    With `at` (other than 1), the unit series D / (1 - t) is evaluated at
+    t = at and its scalar reciprocal taken. Otherwise the unit is evaluated
+    at t = 2**k, a ring homomorphism from Z[t] into Z (Kronecker
+    substitution), its reciprocal runs on ints (on polynomials in t' over
+    the ints for a bivariate form), and every result value is read back from
+    its balanced base-2**k digits; at t = 1 that result is substituted.
+
+    Since D_n(2**k) = D_n(1) mod 2**k - 1, the remainder test at 2**k is the
+    divisibility of D_n by 1 - t as soon as 2**k - 1 > |D_n|_1 (per
+    t'-coefficient when bivariate). Both widths used meet that. The first,
+    w, has 2**(w-1) > sum_j |d_j|_1 max(1, |c_j|_1)**order >= |D_n|_1, which
+    also bounds every coefficient of D_n / (1 - t), a prefix sum of D_n's
+    coefficients; so the balanced digits at 2**w of the unit's values give
+    their exact 1-norms. From these :func:`_majorant_width` gives the width
+    k of the result, whose majorant M_n bounds the unit's n-th 1-norm too,
+    so |D_n|_1 <= 2 M_n < 2**k - 1."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if at is not None and at != 1:
+        return TruncSeries(order, _unit_values(terms, order, at)).reciprocal()
+    w = sum(_norm(d) * max(1, _norm(c)) ** order for d, c in terms).bit_length() + 1
+    k = _majorant_width([_digit_norm(v, w) for v in _unit_values(terms, order, 1 << w)])
+    out = TruncSeries(order, _unit_values(terms, order, 1 << k)).reciprocal().coeffs
+    result = TruncSeries(order, [1] + [_decode(v, k) for v in out[1:]])
+    return result if at is None else result.substitute(at)
 
 
 def mixed_egf_closed_form(order: int) -> TruncSeries:
-    """(1 - t) / (exp((t - t')u) - t exp((1 - t')u)).
-
-    The denominator has constant term 1 - t; the quotient is computed by
-    cancelling that factor from every coefficient exactly, which keeps all
-    arithmetic inside the polynomial ring.
-    """
-    grow = exp_of_linear(Poly((T, -1)), order)  # exp((t - t') u)
-    decay = exp_of_linear(Poly((1, -1)), order)  # exp((1 - t') u)
-    den = grow - decay * Poly((T,))
-    return _over_one_minus_t(den)
+    """(1 - t) / (exp((t - t')u) - t exp((1 - t')u)), the joint
+    fixed-point/excedance EGF, with t' left symbolic (see
+    :func:`_closed_form`)."""
+    return _closed_form(_MIXED, order)
 
 
 def classical_egf_closed_form(order: int, at=None) -> TruncSeries:
-    """(1 - t) / (-t + exp((t - 1)u)), the EGF of the classical polynomials.
-    With `at`, t = at is substituted before the reciprocal, exactly (see
-    :func:`_over_one_minus_t`)."""
-    den = exp_of_linear(T - 1, order) - constant_series(T, order)
-    return _over_one_minus_t(den, at)
+    """(1 - t) / (-t + exp((t - 1)u)), the EGF of the classical polynomials,
+    over Z[t] or, with `at`, at t = at (see :func:`_closed_form`)."""
+    return _closed_form(_CLASSICAL, order, at)
 
 
 def zero_shift_egf_closed_form(order: int) -> TruncSeries:
     """(1 - t) / (1 - t exp((1 - t)u)), the EGF of the 0-shift polynomials."""
-    den = constant_series(1, order) - exp_of_linear(1 - T, order) * T
-    return _over_one_minus_t(den)
+    return _closed_form(_ZERO_SHIFT, order)
 
 
 def roselle_egf_closed_form(order: int, at=None) -> TruncSeries:
     """(1 - t) / (exp(t u) - t exp(u)), the EGF of the derangement-excedance
-    polynomials. With `at`, t = at is substituted before the reciprocal,
-    exactly (see :func:`_over_one_minus_t`)."""
-    den = exp_of_linear(T, order) - exp_of_linear(1, order) * T
-    return _over_one_minus_t(den, at)
+    polynomials, over Z[t] or, with `at`, at t = at (see
+    :func:`_closed_form`)."""
+    return _closed_form(_DERANGEMENT, order, at)
 
 
 def eulerian_from_egf(n: int, r: int) -> Poly:

@@ -4,7 +4,17 @@ Each one evaluates a definition directly, or is a version a faster kernel
 replaced. ``test_differential.py`` checks every fast kernel against its
 references, from one table; the other test modules use them as oracles.
 """
+from fractions import Fraction
+from math import factorial
+
 from eulerian.permutations import left_to_right_maxima, orbits
+from eulerian.polynomials import Poly, T
+from eulerian.series import (
+    classical_egf_closed_form,
+    mixed_egf_closed_form,
+    roselle_egf_closed_form,
+    zero_shift_egf_closed_form,
+)
 
 
 def brute_descent_vector(p):
@@ -163,3 +173,82 @@ def literal_ultimately_idempotent(word):
 def literal_arborescence(word):
     n = len(word)
     return len(set(iterate(word, n - 1))) == 1
+
+
+# -- the ordinary-coefficient reference of the series kernel ------------------
+#
+# Lists of ordinary coefficients [u^n], with the divisions that representation
+# needs: an independent route that the EGF-value kernel is compared with
+# through `coefficient(k)`.
+
+
+def ordinary(s):
+    return [s.coefficient(k) for k in range(s.order + 1)]
+
+
+def ref_reciprocal(a):
+    out = [Fraction(1)]
+    for m in range(1, len(a)):
+        out.append(-sum((a[k] * out[m - k] for k in range(1, m + 1)), 0))
+    return out
+
+
+def ref_exp_of_linear(c, order):
+    return [c**n * Fraction(1, factorial(n)) for n in range(order + 1)]
+
+
+def ref_over_one_minus_t(c):
+    """c / (1 - t) by long division from the top, into nested coefficients."""
+    if not c:
+        return Poly()
+    if any(isinstance(x, Poly) for x in c.coeffs):
+        return Poly(tuple(ref_over_one_minus_t(x) for x in c.coeffs))
+    rem = list(c.coeffs)
+    out = [0] * (len(rem) - 1)
+    for i in range(len(rem) - 2, -1, -1):
+        out[i] = -rem[i + 1]
+        rem[i + 1] = 0
+        rem[i] = rem[i] - out[i]
+    assert not any(rem), c
+    return Poly(out)
+
+
+def ref_closed_form(den):
+    """(1 - t) / den for a denominator with constant term 1 - t."""
+    return ref_reciprocal([ref_over_one_minus_t(c) for c in den])
+
+
+def _minus(xs, ys):
+    return [x - y for x, y in zip(xs, ys)]
+
+
+def _times(xs, c):
+    return [x * c for x in xs]
+
+
+# each closed form's denominator, built from ordinary coefficients
+REFERENCE_DENOMINATORS = {
+    classical_egf_closed_form: lambda n: _minus(
+        ref_exp_of_linear(T - 1, n), [T] + [0] * n
+    ),
+    roselle_egf_closed_form: lambda n: _minus(
+        ref_exp_of_linear(T, n), _times(ref_exp_of_linear(1, n), T)
+    ),
+    zero_shift_egf_closed_form: lambda n: _minus(
+        [1] + [0] * n, _times(ref_exp_of_linear(1 - T, n), T)
+    ),
+    mixed_egf_closed_form: lambda n: _minus(
+        ref_exp_of_linear(Poly((T, -1)), n),
+        _times(ref_exp_of_linear(Poly((1, -1)), n), Poly((T,))),
+    ),
+}
+
+
+def fraction_horner(p, x):
+    """The value of a polynomial at x by the plain Horner loop, in whatever
+    arithmetic x brings: the loop that ``Poly.eval`` replaced at a
+    rational with its integer route."""
+    out = 0
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -165,6 +166,20 @@ class TestCommands:
     def test_series_command(self, capsys):
         assert main(["series", "tan", "--order", "7"]) == 0
         assert capsys.readouterr().out.strip() == "0 1 0 1/3 0 2/15 0 17/315"
+
+    def test_classical_egf_at_one(self, capsys):
+        # t = 1 takes the Z[t] route and substitutes after it: A_n(1) = n!
+        assert main(["series", "classical-egf", "--order", "12", "--t", "1"]) == 0
+        assert capsys.readouterr().out.split() == ["1"] * 13
+
+    def test_derangement_egf_at_one(self, capsys):
+        # the derangement numbers D_n = (n - 1)(D_(n-1) + D_(n-2)), over n!
+        assert main(["series", "derangement-egf", "--order", "12", "--t", "1"]) == 0
+        counts = [1, 0]
+        for n in range(2, 13):
+            counts.append((n - 1) * (counts[-1] + counts[-2]))
+        want = [str(Fraction(d, factorial(n))) for n, d in enumerate(counts)]
+        assert capsys.readouterr().out.split() == want
 
     def test_tables_command(self, capsys):
         assert main(["tables", "eulerian", "--r", "5"]) == 0

@@ -5,21 +5,28 @@ lists, and on large inputs that hypothesis draws where the domain has
 them."""
 import itertools
 from collections import Counter
-from functools import partial
+from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
+    REFERENCE_DENOMINATORS,
     brute_descent_vector,
     brute_rise_vector,
     cycles_are_loops,
     dprime_by_maxima_set,
+    fraction_horner,
     fundamental_by_keys,
     fundamental_by_preimage_segments,
     fundamental_inverse_by_segments,
     literal_ultimately_idempotent,
+    ordinary,
+    ref_closed_form,
+    ref_exp_of_linear,
+    ref_reciprocal,
 )
 
 from eulerian.endofunctions import count_class_functions
@@ -32,6 +39,8 @@ from eulerian.permutations import (
     is_in_class,
     rise_vector,
 )
+from eulerian.polynomials import Poly, T
+from eulerian.series import TruncSeries, _closed_form, classical_egf_closed_form, roselle_egf_closed_form
 from eulerian.transforms import fundamental, fundamental_inverse
 
 
@@ -50,6 +59,109 @@ MAPS_UP_TO_7 = Domain(lambda: range(8))
 MAPS_UP_TO_5 = Domain(lambda: range(6))
 # each class that enumerate_class generates directly, at every size n <= 8
 GENERATED_CLASSES = Domain(lambda: itertools.product(sorted(set(_GENERATORS) - {"all"}), range(9)))
+
+# every closed form at every order <= 14: the classical and derangement ones
+# at each evaluation point as well, the 0-shift and the nested one over Z[t]
+POINTS = (None, -1, 0, 1, 2, 3, Fraction(1, 2))
+CLOSED_FORMS = Domain(
+    lambda: (
+        (form, order, at)
+        for form in REFERENCE_DENOMINATORS
+        for order in range(15)
+        for at in (POINTS if form in (classical_egf_closed_form, roselle_egf_closed_form) else (None,))
+    )
+)
+# every declared denominator exp((a + b t)u) - t exp((c + (a + b - c) t)u),
+# which 1 - t divides, with a, b, c in -3..3, at order 8, over Z[t] and at
+# three points: results with coefficients of both signs, unlike the paper's
+TWO_TERM_FORMS = Domain(
+    lambda: ((a, b, c, at) for a, b, c in itertools.product(range(-3, 4), repeat=3) for at in (None, -1, 1, 3))
+)
+# unit series over Z[t]: every one of order <= 3 with u-coefficients from a
+# small pool, and wide ones of order <= 14
+_POOL = (0, 2, -T, Poly((1, -1)), Poly((0, 3, 1)))
+_WIDE = st.integers(-(2**80), 2**80)
+INTEGER_UNITS = Domain(
+    lambda: (
+        TruncSeries(order, (Poly((1,)),) + values)
+        for order in range(4)
+        for values in itertools.product(_POOL, repeat=order)
+    ),
+    st.integers(0, 14).flatmap(
+        lambda order: st.lists(
+            st.one_of(_WIDE, st.lists(_WIDE, max_size=13).map(Poly)), min_size=order, max_size=order
+        ).map(lambda values: TruncSeries(order, [Poly((1,))] + values))
+    ),
+)
+# integer polynomials of degree <= 3 with coefficients in -2..2, at rationals
+RATIONAL_POINTS = Domain(
+    lambda: itertools.product(
+        (Poly(cs) for size in range(5) for cs in itertools.product(range(-2, 3), repeat=size)),
+        (Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(5, -7)),
+    ),
+    st.tuples(
+        st.lists(st.integers(-(2**40), 2**40), max_size=13).map(Poly),
+        st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    ),
+)
+
+
+def closed_form(case):
+    form, order, at = case
+    return ordinary(form(order) if at is None else form(order, at=at))
+
+
+@lru_cache(maxsize=None)
+def _reference_series(form, order):
+    return ref_closed_form(REFERENCE_DENOMINATORS[form](order))
+
+
+def closed_form_by_reference(case):
+    form, order, at = case
+    ref = _reference_series(form, order)
+    return ref if at is None else [c.eval(at) if isinstance(c, Poly) else c for c in ref]
+
+
+def _two_terms(a, b, c):
+    return ((1, a + b * T), (-T, c + (a + b - c) * T))
+
+
+def declared_form(case):
+    *slopes, at = case
+    return ordinary(_closed_form(_two_terms(*slopes), 8, at))
+
+
+@lru_cache(maxsize=None)
+def _reference_of_terms(a, b, c):
+    den = [0] * 9
+    for d, slope in _two_terms(a, b, c):
+        den = [x + d * y for x, y in zip(den, ref_exp_of_linear(slope, 8))]
+    return ref_closed_form(den)
+
+
+def declared_form_by_reference(case):
+    *slopes, at = case
+    ref = _reference_of_terms(*slopes)
+    return ref if at is None else [c.eval(at) if isinstance(c, Poly) else c for c in ref]
+
+
+def reciprocal(s):
+    return ordinary(s.reciprocal())
+
+
+def reciprocal_by_reference(s):
+    return ref_reciprocal(ordinary(s))
+
+
+def eval_at_rational(case):
+    # with its type: the integer route must return what the loop returns
+    value = case[0].eval(case[1])
+    return type(value), value
+
+
+def horner_over_fractions(case):
+    value = fraction_horner(*case)
+    return type(value), value
 
 
 def ultimately_idempotent(n):
@@ -85,6 +197,10 @@ TABLE = [
     (ultimately_idempotent, loops_over_every_map, MAPS_UP_TO_7),
     (ultimately_idempotent, literal_over_every_map, MAPS_UP_TO_5),
     (generated_class, filtered_class, GENERATED_CLASSES),
+    (closed_form, closed_form_by_reference, CLOSED_FORMS),
+    (declared_form, declared_form_by_reference, TWO_TERM_FORMS),
+    (reciprocal, reciprocal_by_reference, INTEGER_UNITS),
+    (eval_at_rational, horner_over_fractions, RATIONAL_POINTS),
 ]
 LARGE = [row for row in TABLE if row[2].large is not None]
 

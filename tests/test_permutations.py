@@ -290,6 +290,12 @@ class TestClasses:
         assert members != sorted(members)
         assert list(enumerate_class(3, CIRCULAR)) == [(2, 3, 1), (3, 1, 2)]
 
+    @pytest.mark.parametrize("word", [(2, 2), (1, 1, 3), (2, 3, 2)])
+    def test_a_word_that_is_not_a_permutation_is_not_circular(self, word):
+        # the orbit of 1 never returns to 1 (or returns too early); the walk
+        # must still end
+        assert not is_in_class(word, CIRCULAR)
+
     @pytest.mark.parametrize("tag", [ALTERNATING, BIEXCEDENT], ids=["alternating", "biexcedent"])
     def test_generated_class_budget(self, tag):
         with pytest.raises(BudgetError):

@@ -45,9 +45,9 @@ from eulerian.series import (
     series_identity,
     tangent_secant_series,
     weighted_permutation_sums,
-    zero_shift_egf_closed_form,
 )
-from eulerian.series import _cycle_table, _over_one_minus_t_exact
+from eulerian.series import _MIXED, _at, _closed_form, _cycle_table, _decode, _unit_values
+from references import REFERENCE_DENOMINATORS, ordinary, ref_closed_form, ref_over_one_minus_t, ref_reciprocal
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
@@ -123,22 +123,12 @@ class TestArithmetic:
 #
 # Lists of ordinary coefficients [u^n], with the divisions that representation
 # needs: an independent route that the EGF-value kernel is compared with
-# through `coefficient(k)`.
-
-
-def ordinary(s: TruncSeries) -> list:
-    return [s.coefficient(k) for k in range(s.order + 1)]
+# through `coefficient(k)`. The reciprocal and the closed forms' references
+# live in references.py, which the differential table shares.
 
 
 def ref_mul(a, b):
     return [sum((a[i] * b[m - i] for i in range(m + 1)), 0) for m in range(len(a))]
-
-
-def ref_reciprocal(a):
-    out = [Fraction(1)]
-    for m in range(1, len(a)):
-        out.append(-sum((a[k] * out[m - k] for k in range(1, m + 1)), 0))
-    return out
 
 
 def ref_exp(a):
@@ -167,55 +157,6 @@ def ref_integral(a):
 def ref_shift_up(a):
     return [0] + a[:-1]
 
-
-def ref_exp_of_linear(c, order):
-    return [c**n * Fraction(1, factorial(n)) for n in range(order + 1)]
-
-
-def ref_over_one_minus_t(c):
-    """c / (1 - t) by long division from the top, into nested coefficients."""
-    if not c:
-        return Poly()
-    if any(isinstance(x, Poly) for x in c.coeffs):
-        return Poly(tuple(ref_over_one_minus_t(x) for x in c.coeffs))
-    rem = list(c.coeffs)
-    out = [0] * (len(rem) - 1)
-    for i in range(len(rem) - 2, -1, -1):
-        out[i] = -rem[i + 1]
-        rem[i + 1] = 0
-        rem[i] = rem[i] - out[i]
-    assert not any(rem), c
-    return Poly(out)
-
-
-def ref_closed_form(den):
-    """(1 - t) / den for a denominator with constant term 1 - t."""
-    return ref_reciprocal([ref_over_one_minus_t(c) for c in den])
-
-
-def _minus(xs, ys):
-    return [x - y for x, y in zip(xs, ys)]
-
-
-def _times(xs, c):
-    return [x * c for x in xs]
-
-
-REFERENCE_DENOMINATORS = {
-    classical_egf_closed_form: lambda n: _minus(
-        ref_exp_of_linear(T - 1, n), [T] + [0] * n
-    ),
-    roselle_egf_closed_form: lambda n: _minus(
-        ref_exp_of_linear(T, n), _times(ref_exp_of_linear(1, n), T)
-    ),
-    zero_shift_egf_closed_form: lambda n: _minus(
-        [1] + [0] * n, _times(ref_exp_of_linear(1 - T, n), T)
-    ),
-    mixed_egf_closed_form: lambda n: _minus(
-        ref_exp_of_linear(Poly((T, -1)), n),
-        _times(ref_exp_of_linear(Poly((1, -1)), n), Poly((T,))),
-    ),
-}
 
 COEFFICIENT_KINDS = {
     "int": st.integers(-4, 4),
@@ -315,19 +256,38 @@ class TestIntegerReciprocal:
 
 
 class TestDivisionByOneMinusT:
+    """The closed forms divide their denominators by 1 - t at one point,
+    exactly: at t = 2**k the remainder test is divisibility by 1 - t."""
+
+    # exp(t u) - t exp(2u): constant term 1 - t, but 1 - t does not divide
+    # its u-coefficient t - 2t
+    NOT_DIVISIBLE = ((1, T), (-T, 2))
+
     def test_nested_coefficient_divides_exactly(self):
         quotient = Poly((Poly((2, 5, 1)), 0, Poly((-3, 0, 4))))  # in t', over t
-        assert _over_one_minus_t_exact(quotient * Poly((1 - T,))) == quotient
+        terms = ((quotient * Poly((1 - T,)), 0),)  # a constant series
+        x = 1 << 8
+        (unit,) = _unit_values(terms, 0, x)
+        assert unit == _at(quotient, x)
+        assert _decode(unit, 8) == quotient
+        # the mixed form's unit, read back at a wide enough point
+        ref = REFERENCE_DENOMINATORS[mixed_egf_closed_form](6)
+        units = _unit_values(_MIXED, 6, 1 << 16)
+        for n, den in enumerate(ref):
+            assert _decode(units[n], 16) == ref_over_one_minus_t(den * factorial(n)), n
 
     def test_nonzero_remainder(self):
         with pytest.raises(ArithmeticError, match="remainder"):
-            _over_one_minus_t_exact(Poly((1, 1)))
+            _closed_form(self.NOT_DIVISIBLE, 3)
+        nested = ((1, Poly((T, Poly((-1,))))), (-T, Poly((Poly((2,)), Poly((-1,))))))
         with pytest.raises(ArithmeticError, match="remainder"):
-            _over_one_minus_t_exact(Poly((Poly((1, -1)), Poly((2, 1)))))
+            _closed_form(nested, 3)
 
     def test_nonzero_scalar(self):
-        with pytest.raises(ArithmeticError, match="scalar"):
-            _over_one_minus_t_exact(3)
+        with pytest.raises(ArithmeticError, match="remainder"):
+            _closed_form(self.NOT_DIVISIBLE, 3, at=3)
+        with pytest.raises(ArithmeticError, match="remainder"):
+            _closed_form(self.NOT_DIVISIBLE, 3, at=-2)
 
 
 class TestClosedForms:
@@ -348,6 +308,11 @@ class TestClosedForms:
     def test_mixed_closed_form_and_specializations(self):
         for name, ident in check_mixed_egf_closed_form(6):
             assert ident.ok, (name, ident.note)
+
+    @pytest.mark.parametrize("at", [None, 1, -1])
+    def test_negative_order(self, at):
+        with pytest.raises(ValueError, match="nonnegative"):
+            classical_egf_closed_form(-2, at=at)
 
     def test_mixed_closed_form_bivariate_coefficient(self):
         mixed = mixed_egf_closed_form(3)
