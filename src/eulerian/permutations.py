@@ -430,18 +430,19 @@ def enumerate_class(
 
 def position_sum_counts(n: int, weight) -> Counter:
     """How many words w of S_n reach each total of weight[i][w[i] - 1] over
-    the positions i; weight is an n-by-n table. The sums of the last
-    ceil(n/2) letters are tabled once, and each of the n! words is still
-    generated and looked up one at a time, at C speed."""
+    the positions i; weight is an n-by-n table. The words are split after
+    their first floor(n/2) letters. For each set of first letters, the sums
+    of the last ceil(n/2) positions are tabled over the orders of the other
+    letters only, so the live table has ceil(n/2)! entries (120 at n = 10),
+    and it serves every order of that set's first letters. Each of the n!
+    words is still generated and looked up one at a time, at C speed."""
     check_budget(n, DEFAULT_PERM_BUDGET, "position-sum sweep")
     head = n - (n + 1) // 2
     suffix_rows = weight[head:]
-    suffix_sum = {
-        s: sum(map(getitem, suffix_rows, s)) for s in itertools.permutations(range(n), n - head)
-    }.__getitem__
     counts: Counter = Counter()
     for chosen in itertools.combinations(range(n), head):
         rest = [v for v in range(n) if v not in chosen]
+        suffix_sum = {s: sum(map(getitem, suffix_rows, s)) for s in itertools.permutations(rest)}.__getitem__
         for prefix in itertools.permutations(chosen):
             base = sum(map(getitem, weight, prefix))  # map stops at the end of the prefix
             for total, c in Counter(map(suffix_sum, itertools.permutations(rest))).items():

@@ -19,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import permutations as perms
@@ -554,12 +555,10 @@ def injection_polynomial(n: int, r: int) -> Poly:
         raise ValueError("need 0 <= r <= n")
     check_budget(n, DEFAULT_PERM_BUDGET, "injection enumeration")
     counts = [0] * (n + 1)
+    # the value at position k stays positive after r lowerings when it is above k - 1 + r
+    bounds = range(r, n)
     for phi in itertools.permutations(range(1, n + 1), n - r):
-        c = 0
-        for k, v in enumerate(phi, start=1):
-            if v - k + 1 > r:
-                c += 1
-        counts[c] += 1
+        counts[sum(map(gt, phi, bounds))] += 1
     return Poly(counts)
 
 

@@ -8,8 +8,8 @@ subcommands never load it.
 """
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter, lt
+from itertools import islice, repeat
+from operator import eq, itemgetter, lt
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -125,7 +125,11 @@ def _transport(
 
     The words are swept in chunks: bij runs once per word, each pair
     compares the f-values of a chunk with the g-values of its images, and
-    the witness is looked for only after a mismatch."""
+    the witness is looked for only after a mismatch. Only the chunk is held
+    as words. Each image that passes its chunk's membership check is kept
+    as one int key, its letters read as base-256 digits, which is one-to-one
+    on words of {1..n}; after the sweep the keys are sorted, and two equal
+    neighbours are two words that share an image."""
 
     def run(n: int) -> Identity:
         sweep = enumerate_class(size(n), source)
@@ -136,7 +140,7 @@ def _transport(
             # its predicate reads its input as one
             return sorted(q) == letters and is_in_class(q, onto)
 
-        images: set[tuple[int, ...]] = set()
+        keys: list[int] = []
         swept = 0
         while chunk := list(islice(sweep, _CHUNK)):
             out = list(map(bij, chunk))
@@ -148,12 +152,14 @@ def _transport(
                 if not all(map(member, out)):
                     p, q = next((p, q) for p, q in zip(chunk, out) if not member(q))
                     return Identity(False, q, onto.kind, f"image outside the class at {p}")
-                images.update(out)
+                keys += map(int.from_bytes, map(bytes, out), repeat("big"))
             swept += len(chunk)
         if onto is None:
             return Identity(True, swept, swept)
-        if len(images) != swept:
-            return Identity(False, len(images), swept, "two words share an image")
+        keys.sort()
+        shared = sum(map(eq, keys, islice(keys, 1, None)))
+        if shared:
+            return Identity(False, swept - shared, swept, "two words share an image")
         target = class_size(n, onto)
         return Identity(swept == target, swept, target, "image count")
 

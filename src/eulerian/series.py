@@ -181,19 +181,20 @@ class TruncSeries:
         variable, at least one of them a polynomial, a digit width k with
         2**(k-1) above every coefficient of every EGF value of the
         reciprocal (see :func:`_majorant_width`); 0 for any other series."""
+        # a series of plain ints, every closed form at a point, needs no norms
+        if not any(map(isinstance, self.coeffs, itertools.repeat(Poly))):
+            return 0
         norms = []
-        univariate = False
         for c in self.coeffs:
             if isinstance(c, Poly):
                 if not all(isinstance(x, int) for x in c.coeffs):
                     return 0
                 norms.append(sum(map(abs, c.coeffs)))
-                univariate = True
             elif isinstance(c, int):
                 norms.append(abs(c))
             else:
                 return 0
-        return _majorant_width(norms) if univariate else 0
+        return _majorant_width(norms)
 
     def exp(self) -> "TruncSeries":
         a = self.coeffs
@@ -696,6 +697,9 @@ def _cycle_table(fns: Sequence[Callable], order: int, top: list) -> list[list[li
             grow(kids)
 
     grow([[1]])
+    # grow refers to itself: without this the cycle would keep the tables
+    # alive after the caller is done with them, until the cyclic collector runs
+    del grow
     return tables
 
 
@@ -735,6 +739,10 @@ def weighted_permutation_sums(
     permutation gets its own product of factor weights, no weight is
     summed before it is multiplied, and nodes with equal factors are never
     merged under a multiplicity.
+
+    The cycle tables and the pending batches live only as long as the call:
+    the recursive sweeps drop their references to themselves when they
+    end, so no reference cycle keeps them for the cyclic collector.
     """
     check_budget(order, max_n, "permutation enumeration")
     count = len(fns)
@@ -813,6 +821,9 @@ def weighted_permutation_sums(
         visit(0, (), ())
         for shape, nodes in pending.items():
             weigh(shape, nodes)
+    # visit refers to itself, and through weigh to the cycle tables: break
+    # the cycle so that they are freed on return, not by the cyclic collector
+    del visit
     plain = [[1] + [even[i] + odd[i] for even, odd in by_parity[1:]] for i in range(count)]
     signed = [[1] + [even[i] - odd[i] for even, odd in by_parity[1:]] for i in range(count)]
     return plain, signed

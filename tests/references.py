@@ -4,10 +4,11 @@ Each one evaluates a definition directly, or is a version a faster kernel
 replaced. ``test_differential.py`` checks every fast kernel against its
 references, from one table; the other test modules use them as oracles.
 """
+import itertools
 from fractions import Fraction
 from math import factorial
 
-from eulerian.permutations import left_to_right_maxima, orbits
+from eulerian.permutations import enumerate_class, left_to_right_maxima, orbits
 from eulerian.polynomials import Poly, T
 from eulerian.series import (
     classical_egf_closed_form,
@@ -252,3 +253,67 @@ def fraction_horner(p, x):
     for c in reversed(p.coeffs):
         out = out * x + c
     return out
+
+
+# The per-word and per-entry loops that `position_sum_counts` and the C-level
+# count of `injection_polynomial` replaced.
+
+
+def fix_exc_counts_per_word(n):
+    """The reference for the fixed-point/excedance histogram: counts[f][e]
+    words of S_n with f fixed points and e strict excedances, one word at a
+    time."""
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for word in enumerate_class(n):
+        fix = exc = 0
+        for k, v in enumerate(word, start=1):
+            if v == k:
+                fix += 1
+            elif v > k:
+                exc += 1
+        counts[fix][exc] += 1
+    return tuple(tuple(row) for row in counts)
+
+
+def derangement_excedances_per_word(n):
+    """The reference for the derangement route of the Roselle polynomial:
+    each word of S_n is read up to its first fixed point."""
+    counts = [0] * (n + 1)
+    for word in enumerate_class(n):
+        c = 0
+        for k, v in enumerate(word, start=1):
+            if v == k:
+                break
+            if v > k:
+                c += 1
+        else:
+            counts[c] += 1
+    return tuple(counts)
+
+
+def lowered_excedances_per_word(n, r):
+    """The reference for `eulerian_by_enumeration`: the generating
+    polynomial of the words of S_n by the positive entries of their
+    excedance vector lowered r times, read one entry at a time."""
+    counts = [0] * (n + 1)
+    for word in enumerate_class(n):
+        c = 0
+        for k in range(n - r):
+            if word[k] >= k + 1 + r:
+                c += 1
+        counts[c] += 1
+    return Poly(counts)
+
+
+def injections_per_entry(n, r):
+    """The reference for `injection_polynomial`: the generating polynomial
+    of the injections of {1..n-r} into {1..n} by the entries that stay
+    positive after r lowerings, read one entry at a time."""
+    counts = [0] * (n + 1)
+    for phi in itertools.permutations(range(1, n + 1), n - r):
+        c = 0
+        for k, v in enumerate(phi, start=1):
+            if v - k + 1 > r:
+                c += 1
+        counts[c] += 1
+    return Poly(counts)

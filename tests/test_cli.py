@@ -290,6 +290,13 @@ class TestVerify:
         check = _transport(lambda p: tuple(sorted(p)), perms.ALL, onto=perms.ALL)
         assert check(3) == Identity(False, 1, 6, "two words share an image")
 
+    def test_two_words_in_different_chunks_that_share_an_image_fail_the_count(self):
+        # S_7 is swept in five chunks of 1024 words; its last word, in the
+        # last chunk, goes where its first word, in the first chunk, goes
+        last = tuple(range(7, 0, -1))
+        check = _transport(lambda p: tuple(sorted(p)) if p == last else p, perms.ALL, onto=perms.ALL)
+        assert check(7) == Identity(False, 5039, 5040, "two words share an image")
+
     def test_a_transport_image_outside_its_class_fails(self):
         # (1, 2, 3) reverses into the class; (1, 3, 2) is the first word that does not
         check = _transport(tr.reverse, perms.ALL, onto=perms.FIRST_IS_N)

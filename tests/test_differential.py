@@ -17,12 +17,16 @@ from references import (
     brute_descent_vector,
     brute_rise_vector,
     cycles_are_loops,
+    derangement_excedances_per_word,
     dprime_by_maxima_set,
+    fix_exc_counts_per_word,
     fraction_horner,
     fundamental_by_keys,
     fundamental_by_preimage_segments,
     fundamental_inverse_by_segments,
+    injections_per_entry,
     literal_ultimately_idempotent,
+    lowered_excedances_per_word,
     ordinary,
     ref_closed_form,
     ref_exp_of_linear,
@@ -39,7 +43,14 @@ from eulerian.permutations import (
     is_in_class,
     rise_vector,
 )
-from eulerian.polynomials import Poly, T
+from eulerian.polynomials import (
+    Poly,
+    T,
+    _fix_exc_counts,
+    _roselle_counts,
+    eulerian_by_enumeration,
+    injection_polynomial,
+)
 from eulerian.series import TruncSeries, _closed_form, classical_egf_closed_form, roselle_egf_closed_form
 from eulerian.transforms import fundamental, fundamental_inverse
 
@@ -57,6 +68,10 @@ WORDS = Domain(
 # the sizes n of the maps of {1..n} to itself, every map of each size swept
 MAPS_UP_TO_7 = Domain(lambda: range(8))
 MAPS_UP_TO_5 = Domain(lambda: range(6))
+# every size n <= 8, each swept in full
+SIZES_UP_TO_8 = Domain(lambda: range(9))
+# every size n <= 8 with every shift 0 <= r <= n
+SHIFTS_UP_TO_8 = Domain(lambda: ((n, r) for n in range(9) for r in range(n + 1)))
 # each class that enumerate_class generates directly, at every size n <= 8
 GENERATED_CLASSES = Domain(lambda: itertools.product(sorted(set(_GENERATORS) - {"all"}), range(9)))
 
@@ -176,6 +191,22 @@ def literal_over_every_map(n):
     return sum(map(literal_ultimately_idempotent, itertools.product(range(1, n + 1), repeat=n)))
 
 
+def enumerated_eulerian(case):
+    return eulerian_by_enumeration(*case)
+
+
+def lowered_excedances_by_word(case):
+    return lowered_excedances_per_word(*case)
+
+
+def injections(case):
+    return injection_polynomial(*case)
+
+
+def injections_by_entry(case):
+    return injections_per_entry(*case)
+
+
 def generated_class(case):
     # a Counter, so that a word generated twice shows
     kind, n = case
@@ -197,6 +228,10 @@ TABLE = [
     (ultimately_idempotent, loops_over_every_map, MAPS_UP_TO_7),
     (ultimately_idempotent, literal_over_every_map, MAPS_UP_TO_5),
     (generated_class, filtered_class, GENERATED_CLASSES),
+    (_fix_exc_counts, fix_exc_counts_per_word, SIZES_UP_TO_8),
+    (_roselle_counts, derangement_excedances_per_word, SIZES_UP_TO_8),
+    (enumerated_eulerian, lowered_excedances_by_word, SHIFTS_UP_TO_8),
+    (injections, injections_by_entry, SHIFTS_UP_TO_8),
     (closed_form, closed_form_by_reference, CLOSED_FORMS),
     (declared_form, declared_form_by_reference, TWO_TERM_FORMS),
     (reciprocal, reciprocal_by_reference, INTEGER_UNITS),

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import derangement_excedances_per_word, fix_exc_counts_per_word
+
 from eulerian import permutations as perms
 from eulerian import polynomials
 from eulerian.permutations import enumerate_class
@@ -139,38 +141,6 @@ def count_monotone_maps(m, n, distinguished):
         all(phi[i - 1] != phi[i] or i in dist for i in range(1, n))
         for phi in itertools.combinations_with_replacement(range(1, m + 1), n)
     )
-
-
-def fix_exc_counts_per_word(n):
-    """The reference for the fixed-point/excedance histogram: counts[f][e]
-    words of S_n with f fixed points and e strict excedances, one word at a
-    time."""
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for word in enumerate_class(n):
-        fix = exc = 0
-        for k, v in enumerate(word, start=1):
-            if v == k:
-                fix += 1
-            elif v > k:
-                exc += 1
-        counts[fix][exc] += 1
-    return tuple(tuple(row) for row in counts)
-
-
-def derangement_excedances_per_word(n):
-    """The reference for the derangement route of the Roselle polynomial:
-    each word of S_n is read up to its first fixed point."""
-    counts = [0] * (n + 1)
-    for word in enumerate_class(n):
-        c = 0
-        for k, v in enumerate(word, start=1):
-            if v == k:
-                break
-            if v > k:
-                c += 1
-        else:
-            counts[c] += 1
-    return tuple(counts)
 
 
 # Six more vector statistics whose shifted generating polynomial is the one
