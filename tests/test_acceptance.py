@@ -6,14 +6,25 @@ registry (chapter1, series, chapter2, chapter5) at default budgets, so each
 identity's grid is declared once, in ``eulerian.registry``; the other criteria
 check literal tables, the worked example and counts that the CLI does not.
 
+Each suite's default-budget results are pinned in ``verify_results.jsonl``
+next to this file, one JSON line per result: suite, identity, params,
+point, status and swept (``elapsed`` is left out). A suite passes only if
+it reports exactly those lines, and a mismatch names the (identity, params)
+keys that moved. A change that moves a result on purpose regenerates the
+file with ``PYTHONPATH=src python tests/test_acceptance.py >
+tests/verify_results.jsonl``, and its diff shows each result that moved.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria complete. These tests are heavier than the unit suites (full
 symmetric groups up to size 10, truncation order 10); the whole module
 stays within a few minutes.
 """
+import contextlib
+import io
 import json
 import time
 from math import factorial
+from pathlib import Path
 
 from eulerian import polynomials as poly
 from eulerian import series as ser
@@ -82,50 +93,29 @@ REDUCED_TABLE = {
 }
 
 
-# what `eulerian verify <suite>` reports at default budgets: the exact check
-# count, and every identity name the suite has reported so far, so that the
-# registry cannot shrink unnoticed
-SUITE_CHECKS = {"chapter1": 202, "chapter2": 379, "series": 43, "chapter5": 33}
-SUITE_IDENTITIES = {
-    "chapter1": {
-        "biexcedent-alternating", "circular-embedding", "complement-count", "descent-transport",
-        "fixed-point-split", "fundamental-bijection", "fundamental-roundtrip", "fundamental-statistics",
-        "multiset-transport", "record-orbit-lemma", "reverse-rise", "rise-transport", "rotation-shift",
-        "valley-position-lemma",
-    },
-    "chapter2": {
-        "cross-method-tables", "cycle-weight-reciprocal", "cycle-weight-shift", "divisibility-mass",
-        "frobenius", "injection-interpretation", "mixed-specializations", "newcomb-specialization",
-        "reciprocal-descent", "riordan-stirling", "roselle-two-routes", "stirling-modes", "symmetry",
-        "worpitzky", "worpitzky-generalized",
-    },
-    "series": {
-        "bernoulli-ode", "closed-form-classical-direct", "closed-form-derangement-direct",
-        "closed-form-zero-shift-direct", "convolution-recurrence", "cycle-weighted-egf-power",
-        "determinant-closed-form", "exponential-formula-biexcedent", "exponential-formula-cycle-indicator",
-        "exponential-formula-fixed-point-split", "exponential-formula-matrix-entries",
-        "mixed-egf-closed-form", "mixed-egf-exponential-form", "mixed-permanent",
-        "permanent-determinant-inversion", "reciprocal-exponential-closed-form",
-        "secant-exp-integral-tangent", "shifted-egf-powers", "specialize-classical",
-        "specialize-derangement", "specialize-zero-shift", "staircase-geometric", "staircase-inversion",
-        "staircase-values", "tangent-secant-table", "tree-equation", "zero-column-degenerate",
-        "zero-shift-affine-relation", "zero-shift-exp-relation",
-    },
-    "chapter5": {
-        "c-triangle-modes", "euler-number-modes", "euler-number-table", "reversal-bridge",
-        "secant-alternating-sum", "tangent-alternating-sum", "valley-expansion", "word-derivation-step",
-    },
-}
+RESULTS = Path(__file__).with_name("verify_results.jsonl")
+SUITES = ("chapter1", "chapter2", "series", "chapter5")
 
 
-def _verify_suite(suite: str, capsys) -> None:
-    """Run the suite through the CLI at default budgets and check its report."""
-    code = main(["verify", suite, "--format", "json"])
-    results = json.loads(capsys.readouterr().out)["results"]
-    failed = [r for r in results if r["status"] != "pass"]
-    assert code == 0 and not failed, failed
-    assert len(results) == SUITE_CHECKS[suite]
-    assert SUITE_IDENTITIES[suite] <= {r["identity"] for r in results}
+def _pinned_lines(suite: str) -> tuple[int, list[str]]:
+    """The exit code of ``eulerian verify <suite> --format json`` at default
+    budgets, and its results as the pinned file's lines."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", suite, "--format", "json"])
+    keys = ("identity", "params", "point", "status", "swept")
+    results = json.loads(out.getvalue())["results"]
+    return code, [json.dumps({"suite": suite, **{k: r[k] for k in keys}}) for r in results]
+
+
+def _verify_suite(suite: str) -> None:
+    """Run the suite through the CLI at default budgets and compare its
+    results with the pinned file."""
+    code, got = _pinned_lines(suite)
+    want = [line for line in RESULTS.read_text().splitlines() if json.loads(line)["suite"] == suite]
+    moved = sorted({(r["identity"], r["params"]) for r in map(json.loads, set(got) ^ set(want))})
+    assert got == want, f"results moved at (identity, params): {moved}"
+    assert code == 0
 
 
 def _report(criterion: str, started: float) -> None:
@@ -160,9 +150,9 @@ def test_criterion_2_euler_number_table():
     _report("2-euler-number-table", started)
 
 
-def test_criterion_3_bijection_certification(capsys):
+def test_criterion_3_bijection_certification():
     started = time.perf_counter()
-    _verify_suite("chapter1", capsys)
+    _verify_suite("chapter1")
     _report("3-bijection-certification", started)
 
 
@@ -188,9 +178,6 @@ def test_criterion_4_worked_example_fidelity():
     assert s2 == (5, 4, 1, 2, 3, 6)
     assert bar == (6, 3, 2, 1, 4, 5)
     # byte-exact rendering through the CLI surface
-    import contextlib
-    import io
-
     from eulerian.cli import render_eulerian_table
 
     def cli_lines(*argv):
@@ -229,22 +216,22 @@ def test_criterion_4_worked_example_fidelity():
     _report("4-worked-example-fidelity", started)
 
 
-def test_criterion_5_series_identities(capsys):
+def test_criterion_5_series_identities():
     started = time.perf_counter()
-    _verify_suite("series", capsys)
+    _verify_suite("series")
     _report("5-series-identities", started)
 
 
-def test_criterion_6_finite_identities(capsys):
+def test_criterion_6_finite_identities():
     # chapter2 also holds the cross-method tables, r = 0 column included
     started = time.perf_counter()
-    _verify_suite("chapter2", capsys)
+    _verify_suite("chapter2")
     _report("6-finite-identities", started)
 
 
-def test_criterion_7_word_calculus(capsys):
+def test_criterion_7_word_calculus():
     started = time.perf_counter()
-    _verify_suite("chapter5", capsys)
+    _verify_suite("chapter5")
     # the counts carried by the word calculus: alternating words of even size
     # starting at the top value match the next size down
     for p in range(1, 6):
@@ -252,3 +239,8 @@ def test_criterion_7_word_calculus(capsys):
         t_first = sum(1 for q in enumerate_class(n, FIRST_IS_N) if is_in_class(q, ALTERNATING))
         assert t_first == class_size(n - 1, ALTERNATING)
     _report("7-word-calculus", started)
+
+
+if __name__ == "__main__":
+    for suite in SUITES:
+        print(*_pinned_lines(suite)[1], sep="\n")
