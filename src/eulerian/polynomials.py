@@ -400,68 +400,57 @@ def stirling2_by_quasi_permutations(p: int, q: int) -> int:
     return count(0, p - q, 0, 0)
 
 
-def frobenius_identity(n: int) -> Identity:
-    """Eulerian polynomial as a Stirling-weighted expansion in powers of
-    (t - 1), checked by exact binomial transform."""
-    lhs = eulerian_polynomial(n)
-    rhs = Poly()
-    for k in range(n):
-        rhs = rhs + factorial(n - k) * stirling2(n, n - k) * (T - 1) ** k
-    return Identity(lhs == rhs, lhs, rhs)
+def frobenius_expansion(n: int) -> Poly:
+    """Frobenius' Stirling-weighted expansion in powers of t - 1: A_n(t)."""
+    return sum((factorial(n - k) * stirling2(n, n - k) * (T - 1) ** k for k in range(n)), Poly())
 
 
-def riordan_stirling_identity(n: int, r: int) -> Identity:
-    """Shifted polynomial at t = s + 1 versus its Stirling expansion in s."""
+def riordan_expansion(n: int, r: int) -> Poly:
+    """Riordan's Stirling expansion in s of the r-shifted polynomial at t = s + 1."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    lhs = eulerian_triangle_recurrence(n, r).eval(Poly((1, 1)))
-    rhs = Poly(
-        tuple(factorial(n - k) * stirling2(n + 1 - r, n + 1 - r - k) for k in range(n - r + 1))
-    )
-    return Identity(lhs == rhs, lhs, rhs)
+    return Poly(tuple(factorial(n - k) * stirling2(n + 1 - r, n + 1 - r - k) for k in range(n - r + 1)))
 
 
 # ---------------------------------------------------------------------------
 # Worpitzky-type summations
 
 
-def worpitzky(m: int, n: int) -> Identity:
-    """m**n as a binomial combination of the Eulerian numbers."""
+def worpitzky_sum(m: int, n: int) -> int:
+    """Worpitzky's binomial combination of the Eulerian numbers of size n: m**n."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     row = eulerian_polynomial(n).coeffs
-    rhs = sum(comb0(m + s, n) * row[s] for s in range(len(row)))
-    return Identity(m**n == rhs, m**n, rhs)
+    return sum(comb0(m + s, n) * row[s] for s in range(len(row)))
 
 
-def worpitzky_generalized(m: int, n: int, r: int) -> Identity:
-    """Shifted version: the reversed coefficients against binomials sum to
-    m**(n-r) * m!/(m-r)!."""
+def worpitzky_generalized_sum(m: int, n: int, r: int) -> int:
+    """The reversed coefficients of the r-shifted polynomial of size n
+    against binomials, which sum to m**(n-r) * m!/(m-r)!."""
     if not 1 <= r <= n or r > m:
         raise ValueError("need r in [n] and r <= m")
     poly = eulerian_triangle_recurrence(n, r)
-    lhs = sum(
-        poly.coefficient(n - r - s) * comb0(m + s, n) for s in range(n - r + 1)
-    )
-    rhs = m ** (n - r) * factorial(m) // factorial(m - r)
-    return Identity(lhs == rhs, lhs, rhs)
+    return sum(poly.coefficient(n - r - s) * comb0(m + s, n) for s in range(n - r + 1))
 
 
 # ---------------------------------------------------------------------------
 # Newcomb specialization and further interpretations
 
 
-def newcomb_specialization(n: int, r: int) -> Identity:
-    """Reciprocal shifted polynomial against r! times the descent generating
-    polynomial over the words whose r largest values appear in order."""
+def reversed_shifted_polynomial(n: int, r: int) -> Poly:
+    """The r-shifted polynomial of size n reversed to degree n - r."""
+    return reciprocal_poly(eulerian_triangle_recurrence(n, r), n - r)
+
+
+def newcomb_polynomial(n: int, r: int) -> Poly:
+    """r! times the descent polynomial of the words whose r largest values
+    appear in order (Newcomb): the reversed r-shifted polynomial."""
     if r < 2:
         raise ValueError("the specialization needs r >= 2")
-    lhs = reciprocal_poly(eulerian_triangle_recurrence(n, r), n - r)
     counts = [0] * (n + 1)
     for p in perms.enumerate_class(n, perms.r_tail_ordered(r)):
         counts[perms.positive_count(perms.delta(perms.descent_vector(p)))] += 1
-    rhs = factorial(r) * Poly(counts)
-    return Identity(lhs == rhs, lhs, rhs)
+    return factorial(r) * Poly(counts)
 
 
 @lru_cache(maxsize=None)
@@ -527,24 +516,6 @@ def rise_record_polynomial(n: int) -> Poly:
         m = perms.positive_count(perms.rise_vector(p))
         counts[perms.ltr_maximum_count(p)][m] += 1
     return Poly(tuple(Poly(row) for row in counts))
-
-
-def q_identity_integer_shift(n: int, r: int) -> Identity:
-    """For integer r >= 1 the cycle-weighted polynomial at that value equals
-    the shifted Eulerian polynomial of size n + r - 1 over (r-1)!."""
-    q = q_polynomial(n)
-    lhs = eulerian_triangle_recurrence(n + r - 1, r)
-    rhs = factorial(r - 1) * q.eval(r)
-    return Identity(lhs == rhs, lhs, rhs)
-
-
-def q_identity_reciprocal(n: int) -> Identity:
-    """The rise/record polynomial is the t-reciprocal (to degree n) of the
-    cycle/excedance polynomial, as a two-variable identity."""
-    q = q_polynomial(n)
-    rhs = Poly(tuple(reciprocal_poly(c, n) for c in q.coeffs))
-    lhs = rise_record_polynomial(n)
-    return Identity(lhs == rhs, lhs, rhs)
 
 
 def injection_polynomial(n: int, r: int) -> Poly:
@@ -621,24 +592,27 @@ def check_symmetry(n: int) -> Identity:
     return Identity(ok, a, reciprocal_poly(a, n - 1))
 
 
-def check_reciprocal_descent_interpretation(n: int, r: int) -> Identity:
-    """The degree-(n-r) reversal of the shifted polynomial is the generating
-    polynomial of the descent vector lowered once and cropped r-1 times from
-    the end, and also of the excedance vector cropped once from the front
-    and r-1 times from the end."""
+def cropped_descent_polynomial(n: int, r: int) -> Poly:
+    """Generating polynomial of the descent vector lowered once and cropped
+    r - 1 times from the end: the reversed r-shifted polynomial."""
     if r < 1:
         raise ValueError("needs r >= 1")
-    lhs = reciprocal_poly(eulerian_triangle_recurrence(n, r), n - r)
-    counts_d = [0] * (n + 1)
-    counts_e = [0] * (n + 1)
+    counts = [0] * (n + 1)
     for p in perms.enumerate_class(n):
         v = perms.delta(perms.descent_vector(p))
-        counts_d[perms.positive_count(v[: len(v) - (r - 1)])] += 1
-        e = perms.excedance_vector(p)
-        counts_e[perms.positive_count(e[1 : n - r + 1])] += 1
-    if lhs != Poly(counts_d):
-        return Identity(False, lhs, Poly(counts_d), "descent route")
-    return Identity(lhs == Poly(counts_e), lhs, Poly(counts_e), "excedance route")
+        counts[perms.positive_count(v[: len(v) - (r - 1)])] += 1
+    return Poly(counts)
+
+
+def cropped_excedance_polynomial(n: int, r: int) -> Poly:
+    """Generating polynomial of the excedance vector cropped once from the
+    front and r - 1 times from the end: the reversed r-shifted polynomial."""
+    if r < 1:
+        raise ValueError("needs r >= 1")
+    counts = [0] * (n + 1)
+    for p in perms.enumerate_class(n):
+        counts[perms.positive_count(perms.excedance_vector(p)[1 : n - r + 1])] += 1
+    return Poly(counts)
 
 
 def check_divisibility_and_mass(n_max: int) -> Identity:
@@ -653,19 +627,6 @@ def check_divisibility_and_mass(n_max: int) -> Identity:
                 if c < 0 or c % factorial(r):
                     return Identity(False, c, factorial(r), f"(n={n}, r={r})")
     return Identity(True, n_max, n_max)
-
-
-def check_mixed_specializations(n: int) -> Identity:
-    """The joint fixed-point/excedance polynomial specializes to the 0-shift,
-    classical, and derangement polynomials at outer values t, 1, 0."""
-    bar = abar_polynomial(n)
-    # bar.eval(0) and roselle_polynomial share the position-sum sweep, not its weights
-    ok = (
-        bar.eval(T) == eulerian_shift_recurrence(n, 0)
-        and bar.eval(1) == eulerian_polynomial(n)
-        and bar.eval(0) == roselle_polynomial(n)
-    )
-    return Identity(ok, bar, n)
 
 
 def eulerian_at_minus_one(n: int) -> int:
@@ -686,11 +647,11 @@ __all__ = [
     "as_int",
     "balanced_digits",
     "check_divisibility_and_mass",
-    "check_mixed_specializations",
     "check_multiset_transport",
-    "check_reciprocal_descent_interpretation",
     "check_symmetry",
     "comb0",
+    "cropped_descent_polynomial",
+    "cropped_excedance_polynomial",
     "eulerian_at_minus_one",
     "eulerian_by_enumeration",
     "eulerian_coefficient_explicit",
@@ -698,20 +659,19 @@ __all__ = [
     "eulerian_polynomial",
     "eulerian_shift_recurrence",
     "eulerian_triangle_recurrence",
-    "frobenius_identity",
+    "frobenius_expansion",
     "injection_polynomial",
-    "newcomb_specialization",
-    "q_identity_integer_shift",
-    "q_identity_reciprocal",
+    "newcomb_polynomial",
     "q_polynomial",
     "reciprocal_poly",
-    "riordan_stirling_identity",
+    "reversed_shifted_polynomial",
+    "riordan_expansion",
     "rise_record_polynomial",
     "roselle_at_minus_one",
     "roselle_by_rises",
     "roselle_polynomial",
     "stirling2",
     "stirling2_by_quasi_permutations",
-    "worpitzky",
-    "worpitzky_generalized",
+    "worpitzky_generalized_sum",
+    "worpitzky_sum",
 ]

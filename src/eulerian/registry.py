@@ -387,27 +387,44 @@ def _registry() -> tuple[Declaration, ...]:
             [{"n": n, "r": r} for n in range(1, 9) for r in range(n + 1)], _SWEEP,
         ),
         Declaration("chapter2", "symmetry", poly.check_symmetry, _sizes(1, 8)),
-        Declaration("chapter2", "frobenius", poly.frobenius_identity, _sizes(1, 8)),
         Declaration(
-            "chapter2", "riordan-stirling", poly.riordan_stirling_identity,
+            "chapter2", "frobenius", _agree(poly.eulerian_polynomial, stirling=poly.frobenius_expansion), _sizes(1, 8)
+        ),
+        Declaration(
+            "chapter2", "riordan-stirling",
+            _agree(
+                lambda n, r: poly.eulerian_triangle_recurrence(n, r).eval(poly.Poly((1, 1))),
+                stirling=poly.riordan_expansion,
+            ),
             [{"n": n, "r": r} for n in range(1, 9) for r in range(1, n + 1)],
         ),
         Declaration(
-            "chapter2", "worpitzky", poly.worpitzky, [{"m": m, "n": n} for m in range(1, 9) for n in range(1, 9)]
+            "chapter2", "worpitzky", _agree(lambda m, n: m**n, eulerian=poly.worpitzky_sum),
+            [{"m": m, "n": n} for m in range(1, 9) for n in range(1, 9)],
         ),
         Declaration(
             "chapter2", "divisibility-mass", poly.check_divisibility_and_mass, [{"n_max": 8}], label="n<={n_max}"
         ),
         Declaration(
-            "chapter2", "worpitzky-generalized", poly.worpitzky_generalized,
+            "chapter2", "worpitzky-generalized",
+            _agree(
+                lambda m, n, r: m ** (n - r) * poly.factorial(m) // poly.factorial(m - r),
+                eulerian=poly.worpitzky_generalized_sum,
+            ),
             [{"m": m, "n": n, "r": r} for m in range(1, 7) for n in range(1, 7) for r in range(1, min(m, n) + 1)],
         ),
         Declaration(
-            "chapter2", "reciprocal-descent", poly.check_reciprocal_descent_interpretation,
+            "chapter2", "reciprocal-descent",
+            _agree(
+                poly.reversed_shifted_polynomial,
+                cropped_descents=poly.cropped_descent_polynomial,
+                cropped_excedances=poly.cropped_excedance_polynomial,
+            ),
             [{"n": n, "r": r} for n in range(1, 8) for r in range(1, min(n, 3) + 1)], _SWEEP,
         ),
         Declaration(
-            "chapter2", "newcomb-specialization", poly.newcomb_specialization,
+            "chapter2", "newcomb-specialization",
+            _agree(poly.reversed_shifted_polynomial, tail_ordered=poly.newcomb_polynomial),
             [{"n": n, "r": r} for n in range(2, 8) for r in range(2, min(n, 3) + 1)], _SWEEP,
         ),
         Declaration(
@@ -418,23 +435,50 @@ def _registry() -> tuple[Declaration, ...]:
             ),
             [{"n": n, "r": r} for n in range(1, 8) for r in range(min(n, 3) + 1)], _SWEEP,
         ),
-        Declaration("chapter2", "mixed-specializations", poly.check_mixed_specializations, _sizes(1, 7), _SWEEP),
+        Declaration(
+            "chapter2", "mixed-specializations",
+            # the joint polynomial at t' = t, 1, 0; at 0 it shares roselle's position-sum sweep, not its weights
+            _agree(
+                lambda n: (
+                    poly.eulerian_shift_recurrence(n, 0), poly.eulerian_polynomial(n), poly.roselle_polynomial(n)
+                ),
+                joint=lambda n: tuple(map(poly.abar_polynomial(n).eval, (poly.T, 1, 0))),
+            ),
+            _sizes(1, 7), _SWEEP,
+        ),
         Declaration(
             "chapter2", "roselle-two-routes",
             _agree(poly.roselle_polynomial, succession_free=poly.roselle_by_rises),
             _sizes(1, 7), _SWEEP,
         ),
         Declaration(
-            "chapter2", "cycle-weight-shift", poly.q_identity_integer_shift,
+            "chapter2", "cycle-weight-shift",
+            # at an integer r >= 1 the cycle weight gives the shifted polynomial of size n + r - 1 over (r - 1)!
+            _agree(
+                lambda n, r: poly.eulerian_triangle_recurrence(n + r - 1, r),
+                cycles=lambda n, r: poly.factorial(r - 1) * poly.q_polynomial(n).eval(r),
+            ),
             [{"n": n, "r": r} for n in range(1, 7) for r in (1, 2, 3)], _SWEEP,
         ),
-        Declaration("chapter2", "cycle-weight-reciprocal", poly.q_identity_reciprocal, _sizes(1, 6), _SWEEP),
+        Declaration(
+            "chapter2", "cycle-weight-reciprocal",
+            # rises and records against the cycle/excedance polynomial reversed in t to degree n
+            _agree(
+                poly.rise_record_polynomial,
+                cycles=lambda n: poly.Poly(tuple(poly.reciprocal_poly(c, n) for c in poly.q_polynomial(n).coeffs)),
+            ),
+            _sizes(1, 6), _SWEEP,
+        ),
         Declaration(
             "chapter2", "stirling-modes",
             _agree(poly.stirling2, quasi_permutation=poly.stirling2_by_quasi_permutations),
             [{"p": p, "q": q} for p in range(2, 9) for q in range(1, p + 1)], {"max_n": itemgetter("p")},
         ),
-        Declaration("series", "mixed-egf-exponential-form", ser.check_mixed_egf_exponential_form, _ORDER_10, _SERIES_SWEEP),
+        Declaration(
+            "series", "mixed-egf-exponential-form",
+            _agree(ser.mixed_egf_by_enumeration, exponential=ser.mixed_egf_exponential_form),
+            _ORDER_10, _SERIES_SWEEP,
+        ),
         Declaration("series", "bernoulli-ode", ser.check_bernoulli_ode, _ORDER_10, _SERIES),
         Declaration(
             "series", "convolution-recurrence", ser.check_convolution_recurrence, [{"n_max": range(11)}],
@@ -446,8 +490,10 @@ def _registry() -> tuple[Declaration, ...]:
         ),
         Declaration("series", "secant-exp-integral-tangent", ser.check_secant_is_exp_integral_tangent, _ORDER_10, _SERIES),
         Declaration(
-            "series", "mixed-permanent", ser.check_mixed_permanent, [{"n_max": range(7)}],
-            {"max_n": itemgetter("n_max")}, "n<={n_max}",
+            "series", "mixed-permanent",
+            # the permanents first: their guard stops n_max >= 10 before any sweep of S_n
+            _agree(ser.mixed_permanents, joint=lambda n_max: [poly.abar_polynomial(n) for n in range(1, n_max + 1)]),
+            [{"n_max": range(7)}], {"max_n": itemgetter("n_max")}, "n<={n_max}",
         ),
         Declaration("series", "mixed-egf-closed-form", ser.check_mixed_egf_closed_form, _ORDER_10, _SERIES_SWEEP),
         Declaration("series", "zero-shift-relations", ser.check_fixed_point_split_relations, _ORDER_10, _SERIES),
@@ -464,7 +510,8 @@ def _registry() -> tuple[Declaration, ...]:
             [{"order": range(8)}], _SERIES_SWEEP,
         ),
         Declaration(
-            "series", "cycle-weighted-egf-power", ser.check_cycle_weighted_power,
+            "series", "cycle-weighted-egf-power",
+            _agree(lambda r, order: ser.mixed_egf_closed_form(order) ** r, weighted=ser.cycle_weighted_egf),
             [{"r": r, "order": range(7)} for r in (1, 2, 3)], _SERIES_SWEEP,
         ),
         Declaration(
@@ -484,10 +531,21 @@ def _registry() -> tuple[Declaration, ...]:
             _agree(words.c_triangle, abelianization=words.c_triangle_by_abelianization),
             [{"n": range(2, 9)}], _SWEEP, "n<={n}",
         ),
-        Declaration("chapter5", "valley-expansion", words.check_valley_expansion, _sizes(2, 9)),
         Declaration(
-            "chapter5", "tangent-alternating-sum", words.check_tangent_alternating_sum, [{"p": p} for p in range(1, 6)],
-            {"max_n": lambda pt: 2 * pt["p"]},
+            "chapter5", "valley-expansion",
+            _agree(lambda n: poly.T * poly.eulerian_polynomial(n - 1), c_triangle=words.valley_expansion),
+            _sizes(2, 9),
+        ),
+        Declaration(
+            "chapter5", "tangent-alternating-sum",
+            # at -1 the classical polynomial is 0 in size 2p, and in size 2p - 1 counts alternating words
+            _agree(
+                lambda p: (0, class_size(2 * p - 1, ALTERNATING)),
+                at_minus_one=lambda p: (
+                    poly.eulerian_at_minus_one(2 * p), (-1) ** (p - 1) * poly.eulerian_at_minus_one(2 * p - 1)
+                ),
+            ),
+            [{"p": p} for p in range(1, 6)], {"max_n": lambda pt: 2 * pt["p"]},
         ),
         Declaration(
             "chapter5", "secant-alternating-sum", words.check_secant_alternating_sum, [{"p": p} for p in range(1, 6)],

@@ -516,28 +516,26 @@ def eulerian_from_egf(n: int, r: int) -> Poly:
 # identity checks
 
 
-def check_mixed_egf_exponential_form(order: int) -> Identity:
-    """The joint fixed-point/excedance EGF (by enumeration) equals
-    exp(u t' + sum_{n>=2} u^n/n! t A_{n-1}(t))."""
+def mixed_egf_by_enumeration(order: int) -> TruncSeries:
+    """The joint fixed-point/excedance EGF by sweeps of S_0..S_order, guarded first."""
     check_budget(order, DEFAULT_PERM_BUDGET, "permutation enumeration")
-    lhs = series_from_polynomials(abar_polynomial, order)
+    return series_from_polynomials(abar_polynomial, order)
+
+
+def mixed_egf_exponential_form(order: int) -> TruncSeries:
+    """exp(u t' + sum_{n>=2} u^n/n! t A_{n-1}(t)), the joint EGF's exponential form."""
     arg = [Poly(), Poly((0, 1))]
     arg.extend(Poly((T * eulerian_polynomial(n - 1),)) for n in range(2, order + 1))
-    rhs = TruncSeries(order, arg).exp()
-    return series_identity(lhs, rhs)
+    return TruncSeries(order, arg).exp()
 
 
 def check_mixed_egf_closed_form(order: int) -> list[tuple[str, Identity]]:
     """The bivariate closed form against the enumeration EGF, and its three
     specializations against the 0-shift, classical, and derangement
     polynomial families."""
-    check_budget(order, DEFAULT_PERM_BUDGET, "permutation enumeration")
     closed = mixed_egf_closed_form(order)
     out = [
-        (
-            "mixed-egf-closed-form",
-            series_identity(series_from_polynomials(abar_polynomial, order), closed),
-        ),
+        ("mixed-egf-closed-form", series_identity(mixed_egf_by_enumeration(order), closed)),
         (
             "specialize-zero-shift",
             series_identity(
@@ -867,14 +865,12 @@ def exponential_formula_bundle(
     return out
 
 
-def check_cycle_weighted_power(r: int, order: int) -> Identity:
-    """With the fixed-point-split weight boosted by r**cycles (integer r),
-    the weighted EGF is the r-th power of the mixed closed form. The boost
-    is r on every factor: r**cycles * prod w(g) = prod r * w(g)."""
+def cycle_weighted_egf(r: int, order: int) -> TruncSeries:
+    """The EGF of the fixed-point-split weight boosted by r**cycles (integer
+    r), by the weighted sweep; it is the r-th power of the mixed closed
+    form. The boost is r on every factor: r**cycles * prod w(g) = prod r * w(g)."""
     (sums,), _signed = weighted_permutation_sums([lambda g: r * fixed_point_split_weight(g)], order)
-    lhs = TruncSeries(order, sums)
-    rhs = mixed_egf_closed_form(order) ** r
-    return series_identity(lhs, rhs)
+    return TruncSeries(order, sums)
 
 
 def check_tree_equation(order: int) -> Identity:
@@ -957,17 +953,10 @@ def check_staircase_examples(order: int) -> list[tuple[str, Identity]]:
     return out
 
 
-def check_mixed_permanent(n_max: int) -> Identity:
-    """The permanent of the banded matrix with symbolic bands (t above, t' on
-    the diagonal, 1 below) is the joint fixed-point/excedance polynomial."""
-    above = Poly((T,))
-    diag = Poly((0, 1))
-    for n in range(1, n_max + 1):
-        per = permanent(SquareMatrix.banded(n, above, diag, 1))
-        target = abar_polynomial(n)
-        if not per == target:
-            return Identity(False, per, target, f"fails at size {n}")
-    return Identity(True, n_max, n_max, "permanents match the joint polynomials")
+def mixed_permanents(n_max: int) -> list:
+    """The permanents of the banded matrices of sizes 1..n_max with bands t
+    above, t' on the diagonal and 1 below: the joint polynomials."""
+    return [permanent(SquareMatrix.banded(n, Poly((T,)), Poly((0, 1)), 1)) for n in range(1, n_max + 1)]
 
 
 # -- tangent and secant -------------------------------------------------------
@@ -1012,11 +1001,8 @@ __all__ = [
     "biexcedent_weight",
     "check_bernoulli_ode",
     "check_convolution_recurrence",
-    "check_cycle_weighted_power",
     "check_fixed_point_split_relations",
     "check_mixed_egf_closed_form",
-    "check_mixed_egf_exponential_form",
-    "check_mixed_permanent",
     "check_permanent_determinant",
     "check_secant_is_exp_integral_tangent",
     "check_shifted_egf_powers",
@@ -1025,13 +1011,17 @@ __all__ = [
     "classical_egf_closed_form",
     "constant_series",
     "cycle_indicator_weight",
+    "cycle_weighted_egf",
     "determinant",
     "eulerian_from_egf",
     "exp_of_linear",
     "exponential_formula_bundle",
     "fixed_point_split_weight",
     "matrix_entry_weight",
+    "mixed_egf_by_enumeration",
     "mixed_egf_closed_form",
+    "mixed_egf_exponential_form",
+    "mixed_permanents",
     "permanent",
     "roselle_egf_closed_form",
     "series_from_polynomials",

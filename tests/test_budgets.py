@@ -36,9 +36,16 @@ ROUTE_SELECTORS = {"mode", "via", "stat", "kind"}
             None,
             id="fundamental-statistics",
         ),
-        pytest.param(lambda: ser.check_mixed_egf_exponential_form(11), None, id="mixed-egf-exponential-form"),
+        pytest.param(
+            lambda: ser.mixed_egf_by_enumeration(11), (ser, "abar_polynomial"), id="mixed-egf-exponential-form"
+        ),
         pytest.param(lambda: ser.check_mixed_egf_closed_form(11), None, id="mixed-egf-closed-form"),
-        # these two sweep every size up to n, so the guard must fire before the smallest
+        # these sweep every size up to n, so the guard must fire before the smallest
+        pytest.param(
+            lambda: next(d.run for d in registry._registry() if d.name == "mixed-permanent")(n_max=11),
+            (poly, "abar_polynomial"),
+            id="mixed-permanent",
+        ),
         pytest.param(
             lambda: words.c_triangle_by_abelianization(11), (words, "word_multiset"), id="c-triangle-abelianization"
         ),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from references import derangement_excedances_per_word, fix_exc_counts_per_word
 
 from eulerian import permutations as perms
-from eulerian import polynomials
+from eulerian import polynomials, registry
 from eulerian.permutations import enumerate_class
 from eulerian.polynomials import (
     Identity,
@@ -28,11 +28,11 @@ from eulerian.polynomials import (
     abar_polynomial,
     as_int,
     check_divisibility_and_mass,
-    check_mixed_specializations,
     check_multiset_transport,
-    check_reciprocal_descent_interpretation,
     check_symmetry,
     comb0,
+    cropped_descent_polynomial,
+    cropped_excedance_polynomial,
     eulerian_at_minus_one,
     eulerian_by_enumeration,
     eulerian_coefficient_explicit,
@@ -40,21 +40,21 @@ from eulerian.polynomials import (
     eulerian_polynomial,
     eulerian_shift_recurrence,
     eulerian_triangle_recurrence,
-    frobenius_identity,
+    frobenius_expansion,
     injection_polynomial,
-    newcomb_specialization,
-    q_identity_integer_shift,
-    q_identity_reciprocal,
+    newcomb_polynomial,
     q_polynomial,
     reciprocal_poly,
-    riordan_stirling_identity,
+    reversed_shifted_polynomial,
+    riordan_expansion,
+    rise_record_polynomial,
     roselle_at_minus_one,
     roselle_by_rises,
     roselle_polynomial,
     stirling2,
     stirling2_by_quasi_permutations,
-    worpitzky,
-    worpitzky_generalized,
+    worpitzky_generalized_sum,
+    worpitzky_sum,
 )
 
 # reduced coefficient tables (the polynomial coefficients divided by r!),
@@ -338,39 +338,33 @@ class TestStirling:
             stirling2(3, 0)
 
     def test_frobenius(self):
-        for n in range(1, 9):
-            assert frobenius_identity(n).ok
+        # the registry compares the two sides for n <= 8
+        assert frobenius_expansion(4) == Poly((1, 11, 11, 1))
         assert eulerian_polynomial(8).coeffs[:4] == (1, 247, 4293, 15619)
 
     def test_riordan_stirling(self):
-        for n in range(1, 8):
-            for r in range(1, n + 1):
-                assert riordan_stirling_identity(n, r).ok
+        # (1, 11, 11, 1) and 2! (4, 7, 1) at t = s + 1; the registry compares n <= 8
+        assert riordan_expansion(4, 1) == Poly((24, 36, 14, 1))
+        assert riordan_expansion(4, 2) == Poly((24, 18, 2))
 
 
 class TestWorpitzky:
     def test_base_identity(self):
-        for m in range(1, 9):
-            for n in range(1, 9):
-                assert worpitzky(m, n).ok
+        # the registry compares the sum with m**n for m, n <= 8
+        assert [worpitzky_sum(m, 3) for m in range(1, 5)] == [1, 8, 27, 64]
 
     @given(st.integers(1, 10**6), st.integers(1, 300))
     @settings(max_examples=30, deadline=None)
     def test_large_m_and_n(self, m, n):
-        assert worpitzky(m, n).ok
+        assert worpitzky_sum(m, n) == m**n
 
     def test_m_one_reduces_to_top_coefficient(self):
         for n in range(1, 8):
-            ident = worpitzky(1, n)
-            assert ident.ok and ident.lhs == 1
+            assert worpitzky_sum(1, n) == 1
 
     def test_generalized(self):
-        for n in range(1, 7):
-            for m in range(1, 7):
-                for r in range(1, min(m, n) + 1):
-                    assert worpitzky_generalized(m, n, r).ok
-        ident = worpitzky_generalized(4, 4, 2)
-        assert ident.rhs == 192
+        # m**(n-r) m!/(m-r)! = 4**2 * 12; the registry compares m, n <= 6
+        assert worpitzky_generalized_sum(4, 4, 2) == 192
 
     def test_monotone_map_counts(self):
         # the count only depends on how many indices are distinguished
@@ -385,15 +379,13 @@ class TestWorpitzky:
 
 class TestInterpretations:
     def test_newcomb_specialization(self):
-        assert newcomb_specialization(4, 2).ok
-        assert newcomb_specialization(5, 3).ok
+        # every shift up to n; the registry stops at r = 3
         for n in range(2, 7):
             for r in range(2, n + 1):
-                assert newcomb_specialization(n, r).ok
+                assert newcomb_polynomial(n, r) == reversed_shifted_polynomial(n, r), (n, r)
 
     def test_newcomb_reversed_table_row(self):
-        ident = newcomb_specialization(4, 2)
-        assert ident.lhs == Poly((2, 14, 8))
+        assert reversed_shifted_polynomial(4, 2) == newcomb_polynomial(4, 2) == Poly((2, 14, 8))
 
     def test_roselle(self):
         assert roselle_polynomial(1) == 0
@@ -418,7 +410,10 @@ class TestInterpretations:
 
     def test_abar_specializations(self):
         for n in range(7):
-            assert check_mixed_specializations(n).ok
+            bar = abar_polynomial(n)
+            assert bar.eval(T) == eulerian_shift_recurrence(n, 0), n
+            assert bar.eval(1) == eulerian_polynomial(n), n
+            assert bar.eval(0) == roselle_polynomial(n), n
         spec = abar_polynomial(5).eval(1)
         assert spec == Poly((1, 26, 66, 26, 1))
 
@@ -426,10 +421,11 @@ class TestInterpretations:
         assert q_polynomial(1) == Poly((Poly(), Poly((1,))))
 
     def test_q_identities(self):
-        for n in range(1, 6):
-            for r in (1, 2, 3):
-                assert q_identity_integer_shift(n, r).ok
-            assert q_identity_reciprocal(n).ok
+        # at size 4; the registry compares n <= 6
+        q4 = q_polynomial(4)
+        for r in (1, 2, 3):
+            assert factorial(r - 1) * q4.eval(r) == eulerian_triangle_recurrence(r + 3, r), r
+        assert rise_record_polynomial(4) == Poly(tuple(reciprocal_poly(c, 4) for c in q4.coeffs))
 
     def test_q_coefficients_nonnegative_integers(self):
         for n in range(1, 6):
@@ -463,9 +459,10 @@ class TestStructuralChecks:
             assert check_symmetry(n).ok
 
     def test_reciprocal_descent(self):
-        for n in range(1, 7):
-            for r in range(1, min(n, 3) + 1):
-                assert check_reciprocal_descent_interpretation(n, r).ok
+        # at size 5; the registry compares n <= 7
+        for r in (1, 2, 3):
+            reversed_row = reversed_shifted_polynomial(5, r)
+            assert cropped_descent_polynomial(5, r) == cropped_excedance_polynomial(5, r) == reversed_row, r
 
     def test_divisibility_and_mass(self):
         assert check_divisibility_and_mass(8).ok
@@ -483,18 +480,18 @@ class TestStructuralChecks:
         assert eulerian_triangle_recurrence(n, r).eval(1) == factorial(n)
 
     def test_identity_witness_carries_both_sides(self):
-        ident = frobenius_identity(5)
+        ident = next(d.run for d in registry._registry() if d.name == "frobenius")(n=5)
         assert isinstance(ident, Identity)
         assert ident.lhs == ident.rhs
         assert as_int(ident.lhs.eval(1)) == 120
 
     def test_precondition_errors(self):
         with pytest.raises(ValueError):
-            newcomb_specialization(4, 1)
+            newcomb_polynomial(4, 1)
         with pytest.raises(ValueError):
             injection_polynomial(3, 4)
         with pytest.raises(ValueError):
-            worpitzky_generalized(2, 4, 3)
+            worpitzky_generalized_sum(2, 4, 3)
         with pytest.raises(ValueError):
             eulerian_by_enumeration(4, -1)
         with pytest.raises(ValueError):

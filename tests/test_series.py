@@ -19,11 +19,8 @@ from eulerian.series import (
     biexcedent_weight,
     check_bernoulli_ode,
     check_convolution_recurrence,
-    check_cycle_weighted_power,
     check_fixed_point_split_relations,
     check_mixed_egf_closed_form,
-    check_mixed_egf_exponential_form,
-    check_mixed_permanent,
     check_permanent_determinant,
     check_secant_is_exp_integral_tangent,
     check_shifted_egf_powers,
@@ -32,13 +29,17 @@ from eulerian.series import (
     classical_egf_closed_form,
     constant_series,
     cycle_indicator_weight,
+    cycle_weighted_egf,
     determinant,
     eulerian_from_egf,
     exp_of_linear,
     exponential_formula_bundle,
     fixed_point_split_weight,
     matrix_entry_weight,
+    mixed_egf_by_enumeration,
     mixed_egf_closed_form,
+    mixed_egf_exponential_form,
+    mixed_permanents,
     permanent,
     roselle_egf_closed_form,
     series_from_polynomials,
@@ -319,7 +320,7 @@ class TestClosedForms:
         assert mixed.coefficient(2) * 2 == abar_polynomial(2)
 
     def test_exponential_form(self):
-        assert check_mixed_egf_exponential_form(6).ok
+        assert mixed_egf_by_enumeration(6) == mixed_egf_exponential_form(6)
 
     def test_split_relations(self):
         for name, ident in check_fixed_point_split_relations(8):
@@ -382,8 +383,9 @@ class TestExponentialFormula:
         assert all(a.ok and b.ok for a, b in bundle.values())
 
     def test_cycle_weighted_powers(self):
-        for r in (1, 2, 3):
-            assert check_cycle_weighted_power(r, 6).ok, r
+        # r = 4 as well; the registry compares r <= 3
+        for r in (1, 2, 3, 4):
+            assert cycle_weighted_egf(r, 5) == mixed_egf_closed_form(5) ** r, r
 
     def test_tree_equation(self):
         assert check_tree_equation(6).ok
@@ -593,7 +595,7 @@ class TestMatrices:
             assert ident.ok, name
 
     def test_mixed_permanent(self):
-        assert check_mixed_permanent(5).ok
+        assert mixed_permanents(5) == [abar_polynomial(n) for n in range(1, 6)]
 
 
 class TestTangentSecant:
