@@ -368,7 +368,9 @@ def determinant(mat: SquareMatrix):
         memo[mask] = total
         return total
 
-    return expand((1 << n) - 1)
+    det = expand((1 << n) - 1)
+    del expand  # it refers to itself: free the memo now, not when the cyclic collector runs
+    return det
 
 
 # ---------------------------------------------------------------------------

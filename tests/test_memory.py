@@ -9,7 +9,14 @@ import tracemalloc
 from eulerian import transforms as tr
 from eulerian.permutations import ALL, position_sum_counts
 from eulerian.registry import _transport
-from eulerian.series import biexcedent_weight, cycle_indicator_weight, matrix_entry_weight, weighted_permutation_sums
+from eulerian.series import (
+    SquareMatrix,
+    biexcedent_weight,
+    cycle_indicator_weight,
+    determinant,
+    matrix_entry_weight,
+    weighted_permutation_sums,
+)
 
 KIB = 1024
 
@@ -41,25 +48,38 @@ def test_the_position_sum_sweep_keeps_one_small_suffix_table():
     assert peak < 80 * KIB
 
 
-def test_the_exponential_formula_sweep_leaves_nothing_for_the_cyclic_collector():
-    # with the collector off, what the sweep still holds after it returns:
-    # the collection below keeps its cyclic garbage in gc.garbage and only
-    # empties the interpreter's free lists, which are not the sweep's. A
-    # sweep whose recursive closures refer to themselves leaves about
-    # 127 KiB, in 1072 objects, at order 8; this one leaves none
-    fns = [cycle_indicator_weight(list(range(1, 9))), biexcedent_weight, matrix_entry_weight(2, 1, 3)]
+def left_for_the_collector(run):
+    """With the collector off, how many objects run() leaves for the cyclic
+    collector after it returns, and the bytes still traced then. The
+    collection keeps its cyclic garbage in gc.garbage and only empties the
+    interpreter's free lists, which are not the call's."""
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        weighted_permutation_sums(fns, 8)
+        run()
         gc.set_debug(gc.DEBUG_SAVEALL)
         garbage = gc.collect()
-        left = tracemalloc.get_traced_memory()[0]
+        return garbage, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def test_the_exponential_formula_sweep_leaves_nothing_for_the_cyclic_collector():
+    # a sweep whose recursive closures refer to themselves leaves about
+    # 127 KiB, in 1072 objects, at order 8; this one leaves none
+    fns = [cycle_indicator_weight(list(range(1, 9))), biexcedent_weight, matrix_entry_weight(2, 1, 3)]
+    garbage, left = left_for_the_collector(lambda: weighted_permutation_sums(fns, 8))
+    assert garbage == 0
+    assert left < 4 * KIB
+
+
+def test_the_determinant_leaves_nothing_for_the_cyclic_collector():
+    # a memoizing closure that refers to itself keeps its memo until the
+    # collector runs; at size 8 the determinant leaves none
+    garbage, left = left_for_the_collector(lambda: determinant(SquareMatrix.banded(8, 2, 1, 3)))
     assert garbage == 0
     assert left < 4 * KIB
