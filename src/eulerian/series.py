@@ -536,39 +536,16 @@ def check_mixed_egf_closed_form(order: int) -> list[tuple[str, Identity]]:
     specializations against the 0-shift, classical, and derangement
     polynomial families."""
     closed = mixed_egf_closed_form(order)
-    out = [
-        ("mixed-egf-closed-form", series_identity(mixed_egf_by_enumeration(order), closed)),
-        (
-            "specialize-zero-shift",
-            series_identity(
-                closed.substitute(T),
-                series_from_polynomials(lambda n: eulerian_shift_recurrence(n, 0), order),
-            ),
-        ),
-        (
-            "specialize-classical",
-            series_identity(
-                closed.substitute(1),
-                series_from_polynomials(eulerian_polynomial, order),
-            ),
-        ),
-        (
-            "specialize-derangement",
-            series_identity(closed.substitute(0), series_from_polynomials(roselle_polynomial, order)),
-        ),
-        (
-            "closed-form-zero-shift-direct",
-            series_identity(closed.substitute(T), zero_shift_egf_closed_form(order)),
-        ),
-        (
-            "closed-form-classical-direct",
-            series_identity(closed.substitute(1), classical_egf_closed_form(order)),
-        ),
-        (
-            "closed-form-derangement-direct",
-            series_identity(closed.substitute(0), roselle_egf_closed_form(order)),
-        ),
-    ]
+    # the enumeration side first: it checks the budget before any sweep
+    out = [("mixed-egf-closed-form", series_identity(mixed_egf_by_enumeration(order), closed))]
+    for name, at, family, direct in (
+        ("zero-shift", T, lambda n: eulerian_shift_recurrence(n, 0), zero_shift_egf_closed_form),
+        ("classical", 1, eulerian_polynomial, classical_egf_closed_form),
+        ("derangement", 0, roselle_polynomial, roselle_egf_closed_form),
+    ):
+        special = closed.substitute(at)
+        out.append((f"specialize-{name}", series_identity(special, series_from_polynomials(family, order))))
+        out.append((f"closed-form-{name}-direct", series_identity(special, direct(order))))
     return out
 
 
