@@ -93,7 +93,7 @@ TWO_TERM_FORMS = Domain(
     lambda: ((a, b, c, at) for a, b, c in itertools.product(range(-3, 4), repeat=3) for at in (None, -1, 1, 3))
 )
 # unit series over Z[t]: every one of order <= 3 with u-coefficients from a
-# small pool, and wide ones of order <= 14
+# small pool, and wide ones of order <= 14, led by the int 1 or the Poly 1
 _POOL = (0, 2, -T, Poly((1, -1)), Poly((0, 3, 1)))
 _WIDE = st.integers(-(2**80), 2**80)
 INTEGER_UNITS = Domain(
@@ -102,11 +102,9 @@ INTEGER_UNITS = Domain(
         for order in range(4)
         for values in itertools.product(_POOL, repeat=order)
     ),
-    st.integers(0, 14).flatmap(
-        lambda order: st.lists(
-            st.one_of(_WIDE, st.lists(_WIDE, max_size=13).map(Poly)), min_size=order, max_size=order
-        ).map(lambda values: TruncSeries(order, [Poly((1,))] + values))
-    ),
+    st.tuples(
+        st.sampled_from((1, Poly((1,)))), st.lists(st.one_of(_WIDE, st.lists(_WIDE, max_size=13).map(Poly)), max_size=14)
+    ).map(lambda drawn: TruncSeries(len(drawn[1]), [drawn[0], *drawn[1]])),
 )
 # integer polynomials of degree <= 3 with coefficients in -2..2, at rationals
 RATIONAL_POINTS = Domain(
