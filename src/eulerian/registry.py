@@ -1,10 +1,16 @@
 """
 The check registry of the verification suites: every identity check is
 declared once, with its parameter grid at its stated scale and the budgets
-each point uses. Two-route checks are declared with ``_agree``, and the
-sweeps of chapter 1 as statistic transports with ``_transport``.
-``cli.run_verification`` imports this module when it runs, so the other
-subcommands never load it.
+each point uses. A check that computes one value two ways declares each way
+as a named route with ``_agree``, and ``tests/test_routes.py`` audits that
+the routes share only the common arithmetic. The bijection checks are
+statistic transports, declared with ``_transport``. The other checks stay
+functions of their modules, where a pair of routes would not fit: a check
+of one property, an equation between values of one route, a check that
+reports labelled identities, ``word-derivation-step`` (its witness names
+the word that differs) and ``secant-alternating-sum`` (the benchmark times
+its function). ``cli.run_verification`` imports this module when it runs,
+so the other subcommands never load it.
 """
 from __future__ import annotations
 
