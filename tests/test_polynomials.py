@@ -198,6 +198,19 @@ class TestPoly:
         shifted = p.eval(Poly((1, 1)))
         assert shifted.coeffs == (24, 36, 14, 1)
 
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), max_size=13),
+        st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_eval_at_a_rational_matches_fraction_horner(self, coeffs, x):
+        p = Poly(coeffs)
+        want = 0
+        for c in reversed(p.coeffs):
+            want = want * x + c
+        got = p.eval(x)
+        assert got == want and type(got) is type(want)
+
     def test_eval_at_a_rational_keeps_the_result_types(self):
         zero = Poly().eval(Fraction(-2, 3))
         assert zero == 0 and type(zero) is int

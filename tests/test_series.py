@@ -48,7 +48,7 @@ from eulerian.series import (
     weighted_permutation_sums,
 )
 from eulerian.series import _MIXED, _at, _closed_form, _cycle_table, _decode, _unit_values
-from references import REFERENCE_DENOMINATORS, ordinary, ref_over_one_minus_t, ref_reciprocal
+from references import REFERENCE_DENOMINATORS, ordinary, ref_closed_form, ref_over_one_minus_t, ref_reciprocal
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
@@ -187,6 +187,11 @@ class TestAgainstOrdinaryReference:
         nilpotent = TruncSeries(order, (0,) + a.coeffs[1:])
         assert ordinary(nilpotent.exp()) == ref_exp(ordinary(nilpotent))
 
+    @pytest.mark.parametrize("form", REFERENCE_DENOMINATORS, ids=lambda f: f.__name__)
+    def test_closed_forms(self, form):
+        for order in range(9):
+            assert ordinary(form(order)) == ref_closed_form(REFERENCE_DENOMINATORS[form](order)), order
+
 
 def poly_reciprocal(a):
     """The reciprocal's EGF values by the binomial recurrence, in the
@@ -214,6 +219,14 @@ class TestIntegerReciprocal:
         head = data.draw(st.sampled_from((1, Poly((1,)))))
         s = TruncSeries(order, [head] + data.draw(st.lists(INTEGER_VALUES, min_size=order, max_size=order)))
         assert list(s.reciprocal().coeffs) == poly_reciprocal(s.coeffs)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_ordinary_reference(self, data):
+        order = data.draw(st.integers(0, 8))
+        small = st.lists(st.integers(-(2**80), 2**80), max_size=5).map(Poly)
+        s = TruncSeries(order, [1] + data.draw(st.lists(st.one_of(small, WIDE), min_size=order, max_size=order)))
+        assert ordinary(s.reciprocal()) == ref_reciprocal(ordinary(s))
 
     def test_only_univariate_integer_polynomials_take_the_integer_route(self):
         assert TruncSeries(3, (1, T, 2, Poly((0, 5))))._digit_width() > 0
@@ -638,6 +651,13 @@ def _boustrophedon_euler_numbers(n_max: int) -> list[int]:
 class TestEvaluatedClosedForms:
     """The closed forms evaluated at t before the reciprocal, against the
     bivariate route and against routes that share no code with them."""
+
+    @pytest.mark.parametrize("form", [classical_egf_closed_form, roselle_egf_closed_form])
+    def test_matches_bivariate_then_substitute(self, form):
+        for order in range(15):
+            bivariate = form(order)
+            for t in (-1, 0, 1, 2, 3, Fraction(1, 2)):
+                assert form(order, at=t) == bivariate.substitute(t), (order, t)
 
     def test_tangent_secant_order60_against_boustrophedon(self):
         tan, sec = tangent_secant_series(60)
